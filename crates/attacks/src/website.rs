@@ -280,6 +280,14 @@ pub struct FingerprintResult {
 /// or frequency-pinning wiring.
 #[must_use]
 pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine {
+    let mut machine = Machine::new(visit_machine_config(config), visit_seed);
+    wire_visit_machine(config, &mut machine);
+    machine
+}
+
+/// The visit machine's configuration: the Table IV setting's noise/SMT
+/// adjustments and the config's fault plan.
+fn visit_machine_config(config: &WebsiteFpConfig) -> MachineConfig {
     let mut machine_cfg = MachineConfig::xiaomi_air13();
     if config.setting == Setting::HyperThreadingDisabled {
         machine_cfg.noise.smt_factor = 1.0;
@@ -288,7 +296,12 @@ pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine
         machine_cfg.noise.smt_factor = 1.04;
     }
     machine_cfg.fault_plan = config.fault_plan;
-    let mut machine = Machine::new(machine_cfg, visit_seed);
+    machine_cfg
+}
+
+/// The visit machine's post-boot wiring: the setting's co-resident
+/// browser or pinned frequency.
+fn wire_visit_machine(config: &WebsiteFpConfig, machine: &mut Machine) {
     match config.setting {
         Setting::Default => {
             machine.set_co_resident(Some(CoResident::browser()));
@@ -301,7 +314,6 @@ pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine
             machine.set_co_resident(Some(CoResident::browser()));
         }
     }
-    machine
 }
 
 /// Runs one visit to `site` on a prepared machine and collects the
@@ -463,8 +475,12 @@ impl Scenario for WebsiteScenario {
         config.n_sites * config.traces_per_site
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        build_visit_machine(config, ctx.seed)
+    fn machine_config(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (visit_machine_config(config), ctx.seed)
+    }
+
+    fn prepare_machine(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
+        wire_visit_machine(config, machine);
     }
 
     fn run_trial(

@@ -1,12 +1,11 @@
-//! Regenerates `BENCH_batched.json`: adaptive-vs-naive fabric throughput
-//! on the simulator's peek-heavy dispatch pattern across source counts,
-//! and recycled-lane batched trial throughput vs fresh-machine scalar
-//! trials.
+//! Regenerates `BENCH_batched.json`: cached-head fabric throughput vs
+//! the naive scan on the simulator's peek-heavy dispatch pattern, and
+//! recycled-machine trial throughput vs fresh-machine trials.
 //!
 //! Writes to the path in `SEGSCOPE_BENCH_JSON` (default
 //! `BENCH_batched.json` in the current directory). Set
 //! `SEGSCOPE_BENCH_FULL=1` for the larger scales, which also arms the
-//! ≥5x batched-speedup gate.
+//! ≥5x recycled-speedup gate.
 
 use segscope_bench::batched_report::{
     measure_batched_trials, measure_fabric_peek, write_report, BatchedBenchReport,
@@ -14,25 +13,22 @@ use segscope_bench::batched_report::{
 use segsim::MachineConfig;
 
 fn main() {
-    segscope_bench::header("Batched execution: adaptive fabric, recycled machine lanes");
+    segscope_bench::header("Recycled machines and the fabric's cached head");
     let full = segscope_bench::full_scale();
     // Short probe trials (a 32-slot burst, the per-candidate unit of the
     // scan-style attacks) are where per-trial machine construction
-    // dominates — the regime the recycled-lane driver exists for.
+    // dominates — the regime machine recycling exists for.
     let (events, trials, slots) = if full {
         (1_500_000, 2_000, 32)
     } else {
         (150_000, 256, 32)
     };
 
-    // Source counts straddling the adaptive cutover: the bare 3-source
-    // preset (the pre-adaptive 0.85x regression point), one near the
-    // cutover, and two calendar-mode widths.
+    // The bare 3-source preset every machine boots and a 7-source
+    // fabric.
     let arms = [
         (MachineConfig::lenovo_yangtian(), 0usize),
         (MachineConfig::lenovo_yangtian(), 4),
-        (MachineConfig::lenovo_yangtian(), 32),
-        (MachineConfig::honor_magicbook(), 128),
     ];
     let mut fabric = Vec::new();
     for (i, (cfg, extra)) in arms.iter().enumerate() {
@@ -40,13 +36,12 @@ fn main() {
         let _ = measure_fabric_peek(cfg, *extra, events / 10, 0xBA7C_0010 + i as u64);
         let arm = measure_fabric_peek(cfg, *extra, events, 0xBA7C_0010 + i as u64);
         println!(
-            "fabric `{}` ({} sources, {}): naive {:.2}M irq/s, \
-             adaptive {:.2}M irq/s ({:.2}x), identical: {}",
+            "fabric `{}` ({} sources): naive {:.2}M irq/s, \
+             fabric {:.2}M irq/s ({:.2}x), identical: {}",
             arm.machine,
             arm.sources,
-            arm.mode,
             arm.naive_events_per_s / 1e6,
-            arm.adaptive_events_per_s / 1e6,
+            arm.fabric_events_per_s / 1e6,
             arm.speedup,
             arm.identical,
         );
@@ -55,26 +50,23 @@ fn main() {
 
     let trials_arm = measure_batched_trials(trials, slots, 3, 0xBA7C_0020);
     println!(
-        "trials `{}` ({} trials x {} slots): scalar {:.0} trials/s, \
-         batched {:.0} trials/s ({:.2}x), identical: {}",
+        "trials `{}` ({} trials x {} slots): fresh {:.0} trials/s, \
+         recycled {:.0} trials/s ({:.2}x), identical: {}",
         trials_arm.machine,
         trials_arm.trials,
         trials_arm.slots_per_trial,
-        trials_arm.scalar_trials_per_s,
-        trials_arm.batched_trials_per_s,
+        trials_arm.fresh_trials_per_s,
+        trials_arm.recycled_trials_per_s,
         trials_arm.speedup,
         trials_arm.identical,
     );
 
-    let note = if full {
-        "full scale (SEGSCOPE_BENCH_FULL=1); wall-clock numbers are \
-         host-dependent, the identity/speedup invariants are not"
-            .to_string()
-    } else {
-        "quick scale; wall-clock numbers are host-dependent, the \
-         identity/speedup invariants are not"
-            .to_string()
-    };
+    let note = format!(
+        "{} scale, timed on 1 thread of a {}; wall-clock numbers are \
+         host-dependent, the identity/speedup invariants are not",
+        if full { "full" } else { "quick" },
+        segscope_bench::host_summary(),
+    );
     let report = BatchedBenchReport {
         fabric,
         trials: trials_arm,

@@ -1,4 +1,4 @@
-//! Regenerates `BENCH_hotpath.json`: event-calendar fabric throughput vs
+//! Regenerates `BENCH_hotpath.json`: cached-head fabric throughput vs
 //! the naive linear-scan baseline, allocation counts for the
 //! buffer-reuse probe API vs the allocating wrapper, and end-to-end
 //! scenario throughput.
@@ -56,16 +56,6 @@ fn counted<T>(f: impl FnOnce() -> T) -> (f64, u64, u64, T) {
     (wall_s, allocs, bytes, out)
 }
 
-/// Order-sensitive FNV-1a fold over a probe-sample stream.
-fn fold_sample(hash: u64, segcnt: u64) -> u64 {
-    let mut h = hash;
-    for byte in segcnt.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Measures the probe loop twice from identical machine state: `batches`
 /// batches of `samples` through the allocating `probe_n`, then through
 /// `probe_n_into` with one reused buffer.
@@ -76,10 +66,12 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
     let mut machine = Machine::new(cfg.clone(), seed);
     let mut probe = SegProbe::new();
     let (fresh_s, allocs_fresh, alloc_bytes_fresh, fresh_hash) = counted(|| {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = obs::FNV_OFFSET;
         for _ in 0..batches {
             let batch = probe.probe_n(&mut machine, samples).expect("probe works");
-            h = batch.iter().fold(h, |h, s| fold_sample(h, s.segcnt));
+            h = batch
+                .iter()
+                .fold(h, |h, s| obs::fnv1a(h, &s.segcnt.to_le_bytes()));
         }
         h
     });
@@ -88,12 +80,14 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
     let mut probe = SegProbe::new();
     let mut buf = Vec::new();
     let (reused_s, allocs_reused, alloc_bytes_reused, reused_hash) = counted(|| {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = obs::FNV_OFFSET;
         for _ in 0..batches {
             probe
                 .probe_n_into(&mut machine, samples, &mut buf)
                 .expect("probe works");
-            h = buf.iter().fold(h, |h, s| fold_sample(h, s.segcnt));
+            h = buf
+                .iter()
+                .fold(h, |h, s| obs::fnv1a(h, &s.segcnt.to_le_bytes()));
         }
         h
     });
@@ -114,7 +108,7 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
 }
 
 fn main() {
-    segscope_bench::header("Hot-path performance: calendar fabric, probe buffers, scenarios");
+    segscope_bench::header("Hot-path performance: fabric, probe buffers, scenarios");
     let full = segscope_bench::full_scale();
     let (events, samples, batches, trials) = if full {
         (3_000_000, 1_000, 2_000, 32)
@@ -122,31 +116,23 @@ fn main() {
         (300_000, 1_000, 200, 4)
     };
 
-    let presets = [
-        (MachineConfig::lenovo_yangtian(), 0usize),
-        (MachineConfig::lenovo_yangtian(), 32),
-        (MachineConfig::lenovo_yangtian(), 128),
-        (MachineConfig::honor_magicbook(), 128),
-        (MachineConfig::lenovo_yangtian(), 256),
-    ];
-    let mut fabric = Vec::new();
-    for (i, (cfg, extra)) in presets.iter().enumerate() {
-        // Warmup pass (page-in, branch training) before the timed one.
-        let _ = measure_fabric(cfg, *extra, events / 10, 0xB3CC_0003 + i as u64);
-        let arm = measure_fabric(cfg, *extra, events, 0xB3CC_0003 + i as u64);
-        println!(
-            "fabric `{}` ({} sources, {} events): naive {:.2}M irq/s, \
-             calendar {:.2}M irq/s ({:.2}x), identical: {}",
-            arm.machine,
-            arm.sources,
-            arm.events,
-            arm.naive_events_per_s / 1e6,
-            arm.calendar_events_per_s / 1e6,
-            arm.speedup,
-            arm.identical,
-        );
-        fabric.push(arm);
-    }
+    let cfg = MachineConfig::lenovo_yangtian();
+    let seed = 0xB3CC_0003;
+    // Warmup pass (page-in, branch training) before the timed one.
+    let _ = measure_fabric(&cfg, events / 10, seed);
+    let arm = measure_fabric(&cfg, events, seed);
+    println!(
+        "fabric `{}` ({} sources, {} events): naive {:.2}M irq/s, \
+         fabric {:.2}M irq/s ({:.2}x), identical: {}",
+        arm.machine,
+        arm.sources,
+        arm.events,
+        arm.naive_events_per_s / 1e6,
+        arm.fabric_events_per_s / 1e6,
+        arm.speedup,
+        arm.identical,
+    );
+    let fabric = vec![arm];
 
     let probe = measure_probe(samples, batches);
     println!(
@@ -168,15 +154,12 @@ fn main() {
         scenario.scenario, scenario.trials, scenario.wall_s, scenario.trials_per_s,
     );
 
-    let note = if full {
-        "full scale (SEGSCOPE_BENCH_FULL=1); wall-clock numbers are \
-         host-dependent, the identity/speedup invariants are not"
-            .to_string()
-    } else {
-        "quick scale; wall-clock numbers are host-dependent, the \
-         identity/speedup invariants are not"
-            .to_string()
-    };
+    let note = format!(
+        "{} scale, timed on 1 thread of a {}; wall-clock numbers are \
+         host-dependent, the identity/speedup invariants are not",
+        if full { "full" } else { "quick" },
+        segscope_bench::host_summary(),
+    );
     let report = HotpathBenchReport {
         fabric,
         probe,

@@ -1,23 +1,22 @@
-//! Machine-readable performance report for the batched execution path
-//! (`BENCH_batched.json`).
+//! Machine-readable performance report for the recycled-machine trial
+//! path (`BENCH_batched.json`).
 //!
 //! The `bench_batched` target regenerates the file; it records host
 //! wall-clock numbers, so absolute values vary by machine. The gates in
 //! [`BatchedBenchReport::validate`] are host-independent:
 //!
-//! - the adaptive fabric and the naive linear-scan fabric deliver
+//! - the cached-head fabric and the naive linear-scan fabric deliver
 //!   bit-identical interrupt streams (and leave their RNGs at the same
 //!   position) on every arm, peek for peek and pop for pop,
-//! - on the simulator's peek-heavy dispatch pattern the adaptive fabric
-//!   never loses to the naive scan even at 3 sources (its cached head
-//!   makes `peek_next` O(1) in both modes), and beats it by at least 2x
-//!   past the calendar cutover,
-//! - recycled-lane batched trials produce bit-identical per-trial sample
+//! - on the simulator's peek-heavy dispatch pattern the fabric never
+//!   loses to the naive scan, even at the machines' 3 sources (its
+//!   cached head makes `peek_next` O(1)),
+//! - trials on a recycled machine produce bit-identical per-trial sample
 //!   streams, fault logs, and final RNG positions (FNV-folded) to
-//!   fresh-machine scalar trials, at ≥2x the throughput on the quick
-//!   scale and ≥5x at full scale.
+//!   fresh-machine trials, at ≥2x the throughput on the quick scale and
+//!   ≥5x at full scale.
 
-use irq::{FabricImpl, InterruptFabric, InterruptKind, NaiveFabric, FABRIC_CUTOVER_SOURCES};
+use irq::{InterruptFabric, InterruptKind, NaiveFabric};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use segsim::{FaultPlan, Machine, MachineConfig};
@@ -25,32 +24,27 @@ use serde::Serialize;
 use std::time::Instant;
 use x86seg::Selector;
 
-/// Minimum accepted adaptive-vs-naive speedup on peek+pop arms at or
-/// below [`FABRIC_CUTOVER_SOURCES`] sources. Full parity (not the 0.9
-/// jitter bar of the pop-only hot-path report): the simulator's dispatch
-/// peeks the fabric head several times per delivered interrupt, and the
-/// adaptive fabric answers those peeks from its cache while the naive
-/// scan pays O(sources) each time — so ≥1.0x holds with real margin.
+/// Minimum accepted fabric-vs-naive speedup on the peek+pop arms. Full
+/// parity (not the 0.9 jitter bar of the pop-only hot-path report): the
+/// simulator's dispatch peeks the fabric head several times per
+/// delivered interrupt, and the fabric answers those peeks from its
+/// cache while the naive scan pays O(sources) each time — so ≥1.0x
+/// holds with real margin.
 pub const LOW_SOURCE_PEEK_MIN_SPEEDUP: f64 = 1.0;
 
-/// Minimum accepted batched-vs-scalar trial throughput speedup on the
+/// Minimum accepted recycled-vs-fresh trial throughput speedup on the
 /// quick scale (a deliberately loose floor for noisy CI hosts).
-pub const BATCHED_MIN_SPEEDUP: f64 = 2.0;
+pub const RECYCLED_MIN_SPEEDUP: f64 = 2.0;
 
-/// Minimum accepted batched-vs-scalar trial throughput speedup at full
+/// Minimum accepted recycled-vs-fresh trial throughput speedup at full
 /// scale (`SEGSCOPE_BENCH_FULL=1`), where per-trial work is long enough
 /// to amortize timing noise.
-pub const BATCHED_FULL_MIN_SPEEDUP: f64 = 5.0;
+pub const RECYCLED_FULL_MIN_SPEEDUP: f64 = 5.0;
 
 /// How many `peek_next` calls the dispatch loop issues per consumed
 /// interrupt — the simulator re-peeks the head once per user span to
 /// bound the span, so several peeks per pop is the representative ratio.
 pub const PEEKS_PER_POP: usize = 4;
-
-/// FNV-1a offset basis.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Device-interrupt kinds used for the synthetic extra sources; cycled
 /// in order so source `i` gets `DEVICE_KINDS[i % 6]`.
@@ -63,36 +57,34 @@ const DEVICE_KINDS: [InterruptKind; 6] = [
     InterruptKind::Other,
 ];
 
-/// Adaptive-vs-naive fabric throughput on the peek-heavy dispatch
-/// pattern, one arm per source count.
+/// Fabric-vs-naive throughput on the peek-heavy dispatch pattern, one
+/// arm per source count.
 #[derive(Debug, Clone, Serialize)]
 pub struct FabricPeekArm {
     /// Machine preset the source set came from.
     pub machine: String,
     /// Total interrupt sources on the fabric (preset + extra devices).
     pub sources: usize,
-    /// Implementation the adaptive fabric selected for this source count.
-    pub mode: String,
     /// Interrupts consumed per fabric per run.
     pub events: usize,
     /// `peek_next` calls issued per consumed interrupt.
     pub peeks_per_pop: usize,
     /// Naive linear-scan fabric wall-clock seconds.
     pub naive_s: f64,
-    /// Adaptive fabric wall-clock seconds.
-    pub adaptive_s: f64,
+    /// Cached-head fabric wall-clock seconds.
+    pub fabric_s: f64,
     /// Naive fabric throughput, consumed interrupts per second.
     pub naive_events_per_s: f64,
-    /// Adaptive fabric throughput, consumed interrupts per second.
-    pub adaptive_events_per_s: f64,
-    /// Adaptive speedup over the naive scan (wall-clock ratio).
+    /// Cached-head fabric throughput, consumed interrupts per second.
+    pub fabric_events_per_s: f64,
+    /// Fabric speedup over the naive scan (wall-clock ratio).
     pub speedup: f64,
     /// Whether both fabrics produced bit-identical peek+pop streams and
     /// finished with their RNGs at the same position.
     pub identical: bool,
 }
 
-/// Recycled-lane batched trials vs fresh-machine scalar trials.
+/// Recycled-machine trials vs fresh-machine trials.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchedTrialsArm {
     /// Machine preset the trials ran on.
@@ -101,15 +93,15 @@ pub struct BatchedTrialsArm {
     pub trials: usize,
     /// Probe slots (wrgs/spin/rdgs rounds) per trial.
     pub slots_per_trial: usize,
-    /// Scalar (fresh `Machine::new` per trial) wall-clock seconds.
-    pub scalar_s: f64,
-    /// Batched (recycled lane, `reset` per trial) wall-clock seconds.
-    pub batched_s: f64,
-    /// Scalar throughput, trials per second.
-    pub scalar_trials_per_s: f64,
-    /// Batched throughput, trials per second.
-    pub batched_trials_per_s: f64,
-    /// Batched speedup over scalar (wall-clock ratio).
+    /// Fresh (`Machine::new` per trial) wall-clock seconds.
+    pub fresh_s: f64,
+    /// Recycled (one machine, `reset` per trial) wall-clock seconds.
+    pub recycled_s: f64,
+    /// Fresh-machine throughput, trials per second.
+    pub fresh_trials_per_s: f64,
+    /// Recycled-machine throughput, trials per second.
+    pub recycled_trials_per_s: f64,
+    /// Recycled speedup over fresh (wall-clock ratio).
     pub speedup: f64,
     /// Whether every trial's sample stream, fault log, and final RNG
     /// position (FNV-folded) matched between the two paths.
@@ -121,10 +113,10 @@ pub struct BatchedTrialsArm {
 pub struct BatchedBenchReport {
     /// One arm per source-count point, low to high.
     pub fabric: Vec<FabricPeekArm>,
-    /// Batched-vs-scalar end-to-end trial throughput.
+    /// Recycled-vs-fresh end-to-end trial throughput.
     pub trials: BatchedTrialsArm,
     /// Whether the run used the full scale (`SEGSCOPE_BENCH_FULL=1`),
-    /// which arms the ≥5x batched gate.
+    /// which arms the ≥5x recycled gate.
     pub full_scale: bool,
     /// Human-readable caveat about the measurement host.
     pub note: String,
@@ -143,58 +135,40 @@ impl BatchedBenchReport {
         for arm in &self.fabric {
             if !arm.identical {
                 return Err(format!(
-                    "fabric arm `{}` ({} sources): adaptive and naive \
+                    "fabric arm `{}` ({} sources): cached and naive \
                      fabrics diverged",
                     arm.machine, arm.sources
                 ));
             }
-            if arm.naive_events_per_s <= 0.0 || arm.adaptive_events_per_s <= 0.0 {
+            if arm.naive_events_per_s <= 0.0 || arm.fabric_events_per_s <= 0.0 {
                 return Err(format!(
                     "fabric arm `{}` ({} sources): non-positive throughput",
                     arm.machine, arm.sources
                 ));
             }
-        }
-        for arm in self
-            .fabric
-            .iter()
-            .filter(|a| a.sources <= FABRIC_CUTOVER_SOURCES)
-        {
             if arm.speedup < LOW_SOURCE_PEEK_MIN_SPEEDUP {
                 return Err(format!(
-                    "fabric arm `{}` ({} sources): adaptive fabric lost to \
-                     the naive scan at {:.2}x on the peek-heavy pattern \
+                    "fabric arm `{}` ({} sources): fabric lost to the naive \
+                     scan at {:.2}x on the peek-heavy pattern \
                      (bar {LOW_SOURCE_PEEK_MIN_SPEEDUP}x)",
                     arm.machine, arm.sources, arm.speedup
                 ));
             }
         }
-        let multi_best = self
-            .fabric
-            .iter()
-            .filter(|a| a.sources > FABRIC_CUTOVER_SOURCES)
-            .map(|a| a.speedup)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if multi_best < 2.0 {
-            return Err(format!(
-                "no multi-source arm reached the 2x adaptive speedup bar \
-                 (best {multi_best:.2}x)"
-            ));
-        }
         if !self.trials.identical {
-            return Err("batched and scalar trial streams diverged".into());
+            return Err("recycled and fresh trial streams diverged".into());
         }
-        if self.trials.speedup < BATCHED_MIN_SPEEDUP {
+        if self.trials.speedup < RECYCLED_MIN_SPEEDUP {
             return Err(format!(
-                "batched trials reached only {:.2}x over scalar \
-                 (bar {BATCHED_MIN_SPEEDUP}x)",
+                "recycled trials reached only {:.2}x over fresh \
+                 (bar {RECYCLED_MIN_SPEEDUP}x)",
                 self.trials.speedup
             ));
         }
-        if self.full_scale && self.trials.speedup < BATCHED_FULL_MIN_SPEEDUP {
+        if self.full_scale && self.trials.speedup < RECYCLED_FULL_MIN_SPEEDUP {
             return Err(format!(
-                "batched trials reached only {:.2}x over scalar at full \
-                 scale (bar {BATCHED_FULL_MIN_SPEEDUP}x)",
+                "recycled trials reached only {:.2}x over fresh at full \
+                 scale (bar {RECYCLED_FULL_MIN_SPEEDUP}x)",
                 self.trials.speedup
             ));
         }
@@ -208,15 +182,9 @@ fn time_s<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-/// Folds one `u64` into an order-sensitive FNV-1a hash.
-#[must_use]
-pub fn fold_u64(hash: u64, value: u64) -> u64 {
-    let mut h = hash;
-    for byte in value.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Folds one `u64` (little-endian) into an order-sensitive FNV-1a hash.
+fn fold_u64(hash: u64, value: u64) -> u64 {
+    obs::fnv1a(hash, &value.to_le_bytes())
 }
 
 /// Builds one fabric of the requested flavor with the preset's sources
@@ -241,7 +209,7 @@ macro_rules! build_fabric {
 /// Measures one peek+pop arm: the preset's source set plus
 /// `extra_devices` synthetic device sources, consumed for `events`
 /// deliveries with [`PEEKS_PER_POP`] head peeks before every pop —
-/// the simulator's span-bounding dispatch pattern — on the adaptive
+/// the simulator's span-bounding dispatch pattern — on the cached-head
 /// fabric and the naive linear-scan fabric with identically seeded RNGs.
 #[must_use]
 pub fn measure_fabric_peek(
@@ -250,18 +218,13 @@ pub fn measure_fabric_peek(
     events: usize,
     seed: u64,
 ) -> FabricPeekArm {
-    let mut adaptive_rng = SmallRng::seed_from_u64(seed);
-    let mut adaptive = build_fabric!(InterruptFabric, cfg, extra_devices, &mut adaptive_rng);
+    let mut fabric_rng = SmallRng::seed_from_u64(seed);
+    let mut fabric = build_fabric!(InterruptFabric, cfg, extra_devices, &mut fabric_rng);
     let mut naive_rng = SmallRng::seed_from_u64(seed);
     let mut naive = build_fabric!(NaiveFabric, cfg, extra_devices, &mut naive_rng);
-    let sources = adaptive.source_count();
-    let mode = match FabricImpl::auto_select(sources) {
-        FabricImpl::NaiveScan => "naive-scan",
-        FabricImpl::Calendar => "calendar",
-    };
 
     let (naive_s, naive_hash) = time_s(|| {
-        let mut h = FNV_BASIS;
+        let mut h = obs::FNV_OFFSET;
         for _ in 0..events {
             for _ in 0..PEEKS_PER_POP {
                 let head = naive.peek_next().expect("sources never run dry");
@@ -273,35 +236,31 @@ pub fn measure_fabric_peek(
         }
         h
     });
-    let (adaptive_s, adaptive_hash) = time_s(|| {
-        let mut h = FNV_BASIS;
+    let (fabric_s, fabric_hash) = time_s(|| {
+        let mut h = obs::FNV_OFFSET;
         for _ in 0..events {
             for _ in 0..PEEKS_PER_POP {
-                let head = adaptive.peek_next().expect("sources never run dry");
+                let head = fabric.peek_next().expect("sources never run dry");
                 h = fold_u64(h, head.at.as_ps());
             }
-            let ev = adaptive
-                .pop(&mut adaptive_rng)
-                .expect("sources never run dry");
+            let ev = fabric.pop(&mut fabric_rng).expect("sources never run dry");
             h = fold_u64(h, ev.at.as_ps());
             h = fold_u64(h, ev.kind as u64);
         }
         h
     });
-    let identical =
-        naive_hash == adaptive_hash && naive_rng.gen::<u64>() == adaptive_rng.gen::<u64>();
+    let identical = naive_hash == fabric_hash && naive_rng.gen::<u64>() == fabric_rng.gen::<u64>();
 
     FabricPeekArm {
         machine: cfg.name.clone(),
-        sources,
-        mode: mode.to_string(),
+        sources: fabric.source_count(),
         events,
         peeks_per_pop: PEEKS_PER_POP,
         naive_s,
-        adaptive_s,
+        fabric_s,
         naive_events_per_s: events as f64 / naive_s.max(1e-9),
-        adaptive_events_per_s: events as f64 / adaptive_s.max(1e-9),
-        speedup: naive_s / adaptive_s.max(1e-9),
+        fabric_events_per_s: events as f64 / fabric_s.max(1e-9),
+        speedup: naive_s / fabric_s.max(1e-9),
         identical,
     }
 }
@@ -311,7 +270,7 @@ pub fn measure_fabric_peek(
 /// RNG draw, so two paths agreeing on the hash agree on the full
 /// architectural footprint and stream position.
 fn probe_trial_hash(machine: &mut Machine, slots: usize) -> u64 {
-    let mut h = FNV_BASIS;
+    let mut h = obs::FNV_OFFSET;
     machine.wrgs(Selector::from_bits(0x3)).expect("GS loads");
     for slot in 0..slots {
         machine.spin(1_500 + (slot as u64 % 5) * 200);
@@ -345,10 +304,9 @@ pub fn trials_machine() -> MachineConfig {
 
 /// Measures `trials` short probe trials both ways, keeping the
 /// best-of-`repeats` timing per path (the standard minimum-noise
-/// throughput estimator on shared hosts): scalar (a fresh
-/// [`Machine::new`] per trial, the pre-batch driver) and batched (this
-/// worker's recycled [`segsim::MachineBatch`] lane through
-/// [`scenario::with_recycled_machine`], the shipped batched-driver
+/// throughput estimator on shared hosts): fresh (a [`Machine::new`] per
+/// trial) and recycled (this thread's machine, reset per trial through
+/// [`scenario::with_recycled_machine`], the scenario driver's
 /// mechanism). Per-trial hashes must match pairwise on every repeat.
 #[must_use]
 pub fn measure_batched_trials(
@@ -365,16 +323,16 @@ pub fn measure_batched_trials(
     let _ =
         scenario::with_recycled_machine(cfg.clone(), trial_seed(0), |m| probe_trial_hash(m, slots));
 
-    let mut scalar_s = f64::INFINITY;
-    let mut batched_s = f64::INFINITY;
+    let mut fresh_s = f64::INFINITY;
+    let mut recycled_s = f64::INFINITY;
     let mut identical = true;
     for _ in 0..repeats.max(1) {
-        let (s, scalar_hashes) = time_s(|| {
+        let (f, fresh_hashes) = time_s(|| {
             (0..trials)
                 .map(|t| probe_trial_hash(&mut Machine::new(cfg.clone(), trial_seed(t)), slots))
                 .collect::<Vec<u64>>()
         });
-        let (b, batched_hashes) = time_s(|| {
+        let (r, recycled_hashes) = time_s(|| {
             (0..trials)
                 .map(|t| {
                     scenario::with_recycled_machine(cfg.clone(), trial_seed(t), |m| {
@@ -383,20 +341,20 @@ pub fn measure_batched_trials(
                 })
                 .collect::<Vec<u64>>()
         });
-        scalar_s = scalar_s.min(s);
-        batched_s = batched_s.min(b);
-        identical &= scalar_hashes == batched_hashes;
+        fresh_s = fresh_s.min(f);
+        recycled_s = recycled_s.min(r);
+        identical &= fresh_hashes == recycled_hashes;
     }
 
     BatchedTrialsArm {
         machine: cfg.name.clone(),
         trials,
         slots_per_trial: slots,
-        scalar_s,
-        batched_s,
-        scalar_trials_per_s: trials as f64 / scalar_s.max(1e-9),
-        batched_trials_per_s: trials as f64 / batched_s.max(1e-9),
-        speedup: scalar_s / batched_s.max(1e-9),
+        fresh_s,
+        recycled_s,
+        fresh_trials_per_s: trials as f64 / fresh_s.max(1e-9),
+        recycled_trials_per_s: trials as f64 / recycled_s.max(1e-9),
+        speedup: fresh_s / recycled_s.max(1e-9),
         identical,
     }
 }
@@ -417,22 +375,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn peek_arm_is_identical_at_and_above_the_cutover() {
+    fn peek_arms_are_identical() {
         let cfg = MachineConfig::lenovo_yangtian();
-        let low = measure_fabric_peek(&cfg, 0, 5_000, 0xBA7C_0001);
-        assert!(low.identical, "3-source streams diverged");
-        assert_eq!(low.sources, 3);
-        assert_eq!(low.mode, "naive-scan");
-        let high = measure_fabric_peek(&cfg, 32, 5_000, 0xBA7C_0002);
-        assert!(high.identical, "35-source streams diverged");
-        assert_eq!(high.sources, 35);
-        assert_eq!(high.mode, "calendar");
+        let three = measure_fabric_peek(&cfg, 0, 5_000, 0xBA7C_0001);
+        assert!(three.identical, "3-source streams diverged");
+        assert_eq!(three.sources, 3);
+        let seven = measure_fabric_peek(&cfg, 4, 5_000, 0xBA7C_0002);
+        assert!(seven.identical, "7-source streams diverged");
+        assert_eq!(seven.sources, 7);
     }
 
     #[test]
-    fn batched_trials_match_scalar_trials() {
+    fn recycled_trials_match_fresh_trials() {
         let arm = measure_batched_trials(6, 120, 1, 0xBA7C_0003);
-        assert!(arm.identical, "batched and scalar trial hashes diverged");
+        assert!(arm.identical, "recycled and fresh trial hashes diverged");
         assert_eq!(arm.trials, 6);
     }
 
@@ -440,31 +396,30 @@ mod tests {
     fn validate_enforces_every_gate() {
         let arm = FabricPeekArm {
             machine: "m".into(),
-            sources: 35,
-            mode: "calendar".into(),
+            sources: 3,
             events: 10,
             peeks_per_pop: PEEKS_PER_POP,
             naive_s: 1.0,
-            adaptive_s: 0.1,
+            fabric_s: 0.7,
             naive_events_per_s: 10.0,
-            adaptive_events_per_s: 100.0,
-            speedup: 10.0,
+            fabric_events_per_s: 14.0,
+            speedup: 1.4,
             identical: true,
         };
         let trials = BatchedTrialsArm {
             machine: "m".into(),
             trials: 8,
             slots_per_trial: 100,
-            scalar_s: 1.0,
-            batched_s: 0.2,
-            scalar_trials_per_s: 8.0,
-            batched_trials_per_s: 40.0,
+            fresh_s: 1.0,
+            recycled_s: 0.2,
+            fresh_trials_per_s: 8.0,
+            recycled_trials_per_s: 40.0,
             speedup: 5.0,
             identical: true,
         };
         let good = BatchedBenchReport {
-            fabric: vec![arm.clone()],
-            trials: trials.clone(),
+            fabric: vec![arm],
+            trials,
             full_scale: false,
             note: String::new(),
         };
@@ -475,27 +430,12 @@ mod tests {
         assert!(divergent.validate().is_err());
 
         // A 3-source arm below parity must fail; at parity it passes.
-        let mut low_lost = good.clone();
-        low_lost.fabric.push(FabricPeekArm {
-            sources: 3,
-            mode: "naive-scan".into(),
-            speedup: 0.97,
-            ..arm.clone()
-        });
-        assert!(low_lost.validate().is_err());
-        let mut low_ok = good.clone();
-        low_ok.fabric.push(FabricPeekArm {
-            sources: 3,
-            mode: "naive-scan".into(),
-            speedup: 1.0,
-            ..arm.clone()
-        });
-        assert!(low_ok.validate().is_ok());
-
-        // No multi-source arm over 2x fails.
-        let mut slow = good.clone();
-        slow.fabric[0].speedup = 1.5;
-        assert!(slow.validate().is_err());
+        let mut lost = good.clone();
+        lost.fabric[0].speedup = 0.97;
+        assert!(lost.validate().is_err());
+        let mut parity = good.clone();
+        parity.fabric[0].speedup = 1.0;
+        assert!(parity.validate().is_ok());
 
         // Trial gates: divergence, the quick 2x bar, the full-scale 5x bar.
         let mut trial_div = good.clone();

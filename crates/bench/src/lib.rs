@@ -28,6 +28,23 @@ pub fn full_scale() -> bool {
     std::env::var("SEGSCOPE_BENCH_FULL").is_ok_and(|v| v == "1")
 }
 
+/// One-line description of the measuring host for report notes: the
+/// CPU model (where the OS exposes `/proc/cpuinfo`) and the core count.
+#[must_use]
+pub fn host_summary() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    format!("{cores}-core {model} host")
+}
+
 /// Prints a boxed section header.
 pub fn header(title: &str) {
     let line = "=".repeat(title.len() + 4);

@@ -15,8 +15,9 @@
 //!   width only: they decide how many cells run concurrently, never
 //!   which seed a cell gets or where its result lands.
 //! * **Within a cell** — the scenario driver's own chunked fan-out,
-//!   whose outputs are thread-count invariant by the
-//!   [`scenario::Scenario::run_batch`] chunk-geometry contract.
+//!   whose outputs are thread-count invariant because every trial runs
+//!   on a recycled machine bit-identical to a fresh one
+//!   ([`scenario::run_recycled_trial`]).
 //!
 //! Results fold through [`MergeReport`](scenario::MergeReport) fragments
 //! ([`CellSet`], [`scenario::RunTotals`], [`segsim::FaultLog`]), so the
@@ -397,8 +398,8 @@ mod tests {
             requested.unwrap_or(2)
         }
 
-        fn build_machine(&self, config: &GridProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(config.machine.clone(), ctx.seed)
+        fn machine_config(&self, config: &GridProbeConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+            (config.machine.clone(), ctx.seed)
         }
 
         fn run_trial(

@@ -269,14 +269,7 @@ impl CampaignSpec {
     /// manifest cut for one grid can never be resumed under another.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_BASIS;
-        for byte in self.to_json().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        obs::fnv1a(obs::FNV_OFFSET, self.to_json().as_bytes())
     }
 
     /// Expands the grid into its flat cell list, validating every axis

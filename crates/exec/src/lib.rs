@@ -187,15 +187,14 @@ where
 /// receives the chunk's first trial index plus one derived seed per
 /// trial, and returns one output per seed, in trial order.
 ///
-/// This is the entry point for batched trial runners: a worker hands the
-/// whole chunk to a lane batch (e.g. `segsim::MachineBatch`) that
-/// recycles machines across the chunk's trials instead of rebuilding one
-/// per trial. The determinism contract is unchanged from
+/// Chunks cut queue traffic and are the unit a checkpoint manifest
+/// records. The determinism contract is unchanged from
 /// [`parallel_trials`]: every trial's seed is
 /// `derive_seed(experiment_seed, index)` and outputs come back in trial
 /// order, so results are bit-identical at any thread count *and any
 /// chunk size* — provided `task` derives each trial's output from its
-/// seed alone (lane recycling must replay fresh-machine state exactly).
+/// seed alone (a machine recycled across trials must replay
+/// fresh-machine state exactly).
 ///
 /// # Panics
 ///

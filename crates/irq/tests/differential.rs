@@ -1,10 +1,10 @@
-//! Differential conformance: the event-calendar [`InterruptFabric`]
-//! against the pre-calendar linear-scan [`NaiveFabric`] oracle, driven
+//! Differential conformance: the cached-head [`InterruptFabric`]
+//! against the uncached linear-scan [`NaiveFabric`] oracle, driven
 //! by generated operation sequences (same style as the
 //! `crates/conformance` op generator).
 //!
 //! Both fabrics consume identically seeded RNGs. After every op the
-//! cached calendar head must equal the oracle's fresh scan, delivered
+//! cached head must equal the oracle's fresh scan, delivered
 //! events must be bit-identical, and — the property that catches hidden
 //! maintenance draws — both RNG streams must end at the same position.
 
@@ -60,7 +60,7 @@ fn decode_ops(codes: &[u8], seed: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Applies `ops` to a calendar fabric and a naive-scan oracle in
+/// Applies `ops` to the cached fabric and a naive-scan oracle in
 /// lockstep, asserting identical deliveries, identical cached-vs-scanned
 /// heads, identical fault logs, and identical final RNG positions.
 fn assert_differential(ops: &[Op], seed: u64) {
@@ -174,7 +174,7 @@ fn simultaneous_injection_storm_matches_oracle() {
 
 proptest! {
     /// Random interleavings of inject / pop / set_enabled / set_timer_hz
-    /// / pop_with_faults keep the calendar fabric and the naive oracle in
+    /// / pop_with_faults keep the cached fabric and the naive oracle in
     /// lockstep: identical deliveries and identical RNG positions.
     #[test]
     fn random_interleavings_match_oracle(

@@ -15,8 +15,25 @@
 
 use crate::event::Event;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit offset basis: the state of an empty [`fnv1a`] fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes`, in order, into the 64-bit FNV-1a `state` — the one
+/// byte-wise FNV-1a of the workspace. Start from [`FNV_OFFSET`]; folding
+/// `a` then `b` equals folding their concatenation.
+///
+/// ```
+/// let whole = obs::fnv1a(obs::FNV_OFFSET, b"segscope");
+/// let split = obs::fnv1a(obs::fnv1a(obs::FNV_OFFSET, b"seg"), b"scope");
+/// assert_eq!(whole, split);
+/// ```
+#[must_use]
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+    })
+}
 
 /// An incremental, order-sensitive digest of an event stream.
 ///
@@ -55,14 +72,9 @@ impl EventDigest {
     pub fn update(&mut self, event: &Event) {
         let encoded =
             serde_json::to_string(event).expect("events contain only integers and unit variants");
-        for byte in encoded.bytes() {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
         // A terminator byte no JSON encoding contains, so event
         // boundaries cannot alias across concatenations.
-        self.state ^= 0xFF;
-        self.state = self.state.wrapping_mul(FNV_PRIME);
+        self.state = fnv1a(fnv1a(self.state, encoded.as_bytes()), &[0xFF]);
     }
 
     /// The digest of everything folded in so far.
@@ -127,6 +139,13 @@ mod tests {
         let mut two = one;
         two.update(&ev(2, 1));
         assert_ne!(one.finish(), two.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

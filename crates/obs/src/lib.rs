@@ -48,7 +48,7 @@ pub mod export;
 pub mod metrics;
 mod ring;
 
-pub use digest::{digest_events, EventDigest};
+pub use digest::{digest_events, fnv1a, EventDigest, FNV_OFFSET};
 pub use event::{ClassSet, Event, EventClass, EventKind, FaultKind, IrqClass, SegRegId};
 pub use metrics::{Histogram, Metrics, PhaseStats};
 pub use ring::{TraceSink, DEFAULT_CAPACITY};

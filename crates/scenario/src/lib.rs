@@ -7,19 +7,21 @@
 //! crate folds that glue into one generic driver behind the
 //! [`Scenario`] trait:
 //!
-//! * [`Scenario::build_machine`] constructs the trial's machine (config
-//!   selection, seeding, layout/fault wiring) — and nothing else;
+//! * [`Scenario::machine_config`] picks the trial's machine config and
+//!   seed, and [`Scenario::prepare_machine`] does the post-boot wiring
+//!   (layout, co-resident victim, config-level fault plan) — and
+//!   nothing else;
 //! * [`Scenario::run_trial`] runs the attack on that machine;
 //! * [`Scenario::summarize`] reduces the ordered trial outputs into a
 //!   JSON-able report.
 //!
 //! The driver [`run_scenario`] supplies everything between: seed
-//! derivation via [`exec::derive_seed`], the fault-plan override, trace
-//! sinks, and the deterministic fan-out — chunked
-//! [`exec::parallel_trial_chunks`] through [`Scenario::run_batch`] for
-//! untraced runs (so lane-recycling scenarios amortize machine
-//! construction per worker), [`exec::parallel_trials_traced`] for traced
-//! ones. The determinism contract is inherited wholesale:
+//! derivation via [`exec::derive_seed`], machine recycling (each worker
+//! thread resets one machine per trial instead of building a fresh one),
+//! the fault-plan override, trace sinks, and the deterministic fan-out —
+//! chunked [`exec::parallel_trial_chunks`] for untraced runs,
+//! [`exec::parallel_trials_traced`] for traced ones. The determinism
+//! contract is inherited wholesale:
 //!
 //! > **Bit-identical outputs, summaries, and merged traces at any
 //! > worker count.**
@@ -35,7 +37,7 @@ mod merge;
 
 pub use merge::{MergeReport, RunTotals};
 
-use segsim::{FaultLog, FaultPlan, Machine, MachineBatch, MachineConfig};
+use segsim::{FaultLog, FaultPlan, Machine, MachineConfig};
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::fmt;
@@ -44,11 +46,10 @@ use std::fmt;
 /// the ground-truth interrupt-delivery count and the machine's fault
 /// audit, captured at the end of the trial.
 ///
-/// Every [`Scenario::run_batch`] implementation returns one of these per
-/// trial (use [`TrialStats::of`] on the trial's machine right after the
-/// trial body). Like the outputs, stats must be a pure function of
-/// `(config, ctx, fault_override)` — the chunk-geometry contract covers
-/// them too, and both merge commutatively ([`RunTotals`] and
+/// The driver captures one of these per trial with [`TrialStats::of`]
+/// right after the trial body. Like the outputs, stats are a pure
+/// function of `(config, ctx, fault_override)`, and both merge
+/// commutatively ([`RunTotals`] and
 /// [`FaultLog`] implement [`MergeReport`]), so run-level accounting is
 /// schedule-independent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,8 +71,8 @@ impl TrialStats {
     }
 }
 
-/// The context of one trial, handed to [`Scenario::build_machine`] and
-/// [`Scenario::run_trial`].
+/// The context of one trial, handed to every per-trial [`Scenario`]
+/// method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialCtx {
     /// Trial index within the experiment (`0..trials`).
@@ -86,11 +87,12 @@ pub struct TrialCtx {
 /// One experiment that the generic driver can run: a typed config, a
 /// per-trial machine recipe, the trial body, and a summary reduction.
 ///
-/// Implementations must keep [`build_machine`](Scenario::build_machine)
-/// limited to machine construction and config-level fault/layout wiring:
-/// the driver installs the trace sink and the run-level fault-plan
-/// override *after* it, and warm-up spins belong in
-/// [`run_trial`](Scenario::run_trial) so traces cover them.
+/// Implementations must keep [`machine_config`](Scenario::machine_config)
+/// and [`prepare_machine`](Scenario::prepare_machine) limited to machine
+/// selection and config-level fault/layout wiring: the driver installs
+/// the trace sink and the run-level fault-plan override *after* them, and
+/// warm-up spins belong in [`run_trial`](Scenario::run_trial) so traces
+/// cover them.
 pub trait Scenario: Sync {
     /// The experiment parameters (JSON-roundtrippable; `Default` is what
     /// `segscope run <name>` uses when `--params` is omitted).
@@ -117,10 +119,30 @@ pub trait Scenario: Sync {
     /// sessions, …) ignore it.
     fn trial_count(&self, config: &Self::Config, requested: Option<usize>) -> usize;
 
-    /// Builds the trial's machine: `Machine::new` plus config-level
-    /// fault/layout wiring. No warm-up spins here — the driver installs
-    /// the trace sink right after, and traces must cover warm-up.
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine;
+    /// The trial's machine configuration and machine RNG seed. The
+    /// driver boots a machine from them — by resetting this worker's
+    /// recycled machine, which is bit-identical to `Machine::new`.
+    fn machine_config(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64);
+
+    /// Post-boot wiring of the trial's machine: layouts drawn from the
+    /// machine RNG, co-resident victims, pinned frequencies, local load,
+    /// config-level fault plans. No warm-up spins here — the driver
+    /// installs the trace sink right after, and traces must cover
+    /// warm-up. The default wires nothing.
+    fn prepare_machine(&self, config: &Self::Config, machine: &mut Machine, ctx: &TrialCtx) {
+        let _ = (config, machine, ctx);
+    }
+
+    /// A fresh trial machine: `Machine::new` from
+    /// [`machine_config`](Scenario::machine_config), then
+    /// [`prepare_machine`](Scenario::prepare_machine). The driver's
+    /// recycled machine is bit-identical to this one.
+    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
+        let (machine_config, seed) = self.machine_config(config, ctx);
+        let mut machine = Machine::new(machine_config, seed);
+        self.prepare_machine(config, &mut machine, ctx);
+        machine
+    }
 
     /// Runs one trial on the prepared machine.
     fn run_trial(
@@ -132,71 +154,68 @@ pub trait Scenario: Sync {
 
     /// Reduces the ordered trial outputs into the report body.
     fn summarize(&self, config: &Self::Config, outputs: &[Self::TrialOutput]) -> Self::Summary;
-
-    /// Runs a *chunk* of consecutive trials — the unit of work one
-    /// worker claims in the untraced driver — returning one
-    /// `(output, [`TrialStats`])` pair per trial, in order.
-    ///
-    /// The default is the scalar loop the driver always ran: a fresh
-    /// [`build_machine`](Scenario::build_machine) per trial, the
-    /// run-level fault override, then
-    /// [`run_trial`](Scenario::run_trial). High-volume scenarios
-    /// override this to recycle machine lanes (via
-    /// [`with_recycled_machine`] or a [`segsim::MachineBatch`] of their
-    /// own), amortizing machine construction across the chunk.
-    ///
-    /// Overrides **must** preserve the chunk-geometry contract: trial
-    /// `i`'s pair depends only on `(config, ctxs[i], fault_override)` —
-    /// never on the chunk's size, position, or lane assignment. With
-    /// [`segsim::Machine::reset`] replaying `Machine::new` exactly,
-    /// lane recycling satisfies this for free; the workspace-level
-    /// `batch_parity` proptest holds every override to it.
-    fn run_batch(
-        &self,
-        config: &Self::Config,
-        ctxs: &[TrialCtx],
-        fault_override: Option<FaultPlan>,
-    ) -> Vec<(Self::TrialOutput, TrialStats)> {
-        ctxs.iter()
-            .map(|ctx| {
-                let mut machine = self.build_machine(config, ctx);
-                if let Some(plan) = fault_override {
-                    machine.set_fault_plan(Some(plan));
-                }
-                let output = self.run_trial(config, &mut machine, ctx);
-                (output, TrialStats::of(&machine))
-            })
-            .collect()
-    }
 }
 
-/// Runs `f` on this worker thread's recycled machine lane, reset to
-/// exactly the state `Machine::new(config, seed)` would produce.
+/// Runs `f` on this worker thread's recycled machine, reset to exactly
+/// the state `Machine::new(config, seed)` would produce.
 ///
-/// The lane lives in thread-local storage: a worker's first trial pays
-/// the full machine construction (the cache hierarchy alone is hundreds
-/// of kilobytes of fresh pages), every later trial on that thread pays
-/// only [`segsim::Machine::reset`] — an epoch bump and a reseed. Because
-/// reset replays `new`'s boot draw order exactly, the closure observes a
-/// machine bit-identical to a fresh one, so outputs stay independent of
-/// which thread (or how many) ran which trial.
+/// The machine lives in thread-local storage: a worker's first trial
+/// pays the full machine construction (the cache hierarchy alone is
+/// hundreds of kilobytes of fresh pages), every later trial on that
+/// thread pays only [`segsim::Machine::reset`] — an epoch bump and a
+/// reseed. Because reset replays `new`'s boot draw order exactly, `f`
+/// observes a machine bit-identical to a fresh one, so outputs stay
+/// independent of which thread (or how many) ran which trial.
 ///
-/// Scenario [`run_batch`](Scenario::run_batch) overrides are the
-/// intended caller: replay your `build_machine` wiring inside `f`, then
-/// run the trial body.
+/// The machine is moved out of its slot while `f` runs, so a nested
+/// call on the same thread builds its own machine instead of aliasing.
 pub fn with_recycled_machine<T>(
     config: MachineConfig,
     seed: u64,
     f: impl FnOnce(&mut Machine) -> T,
 ) -> T {
     thread_local! {
-        static LANE: RefCell<Option<MachineBatch>> = const { RefCell::new(None) };
+        static RECYCLED: RefCell<Option<Machine>> = const { RefCell::new(None) };
     }
-    LANE.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let batch = slot.get_or_insert_with(|| MachineBatch::new_uniform(&config, &[seed]));
-        batch.reset_lane(0, config, seed);
-        batch.with_lane_mut(0, f)
+    let mut machine = match RECYCLED.with(|slot| slot.borrow_mut().take()) {
+        Some(mut machine) => {
+            machine.reset(config, seed);
+            machine
+        }
+        None => Machine::new(config, seed),
+    };
+    let out = f(&mut machine);
+    RECYCLED.with(|slot| *slot.borrow_mut() = Some(machine));
+    out
+}
+
+/// Runs one trial of `scenario` the way every arm of the driver does: on
+/// this worker's recycled machine, booted from
+/// [`Scenario::machine_config`] and wired by
+/// [`Scenario::prepare_machine`], with the run-level `fault_override`
+/// and the optional trace `sink` installed after the wiring. Returns the
+/// trial output, its stats, and the sink back (with the trial's events).
+///
+/// Exposed so callers that fan trials out themselves (parity tests,
+/// benchmarks) run exactly the driver's per-trial body.
+pub fn run_recycled_trial<S: Scenario>(
+    scenario: &S,
+    config: &S::Config,
+    ctx: &TrialCtx,
+    fault_override: Option<FaultPlan>,
+    sink: Option<obs::TraceSink>,
+) -> (S::TrialOutput, TrialStats, Option<obs::TraceSink>) {
+    let (machine_config, seed) = scenario.machine_config(config, ctx);
+    with_recycled_machine(machine_config, seed, |machine| {
+        scenario.prepare_machine(config, machine, ctx);
+        if let Some(plan) = fault_override {
+            machine.set_fault_plan(Some(plan));
+        }
+        if let Some(sink) = sink {
+            machine.install_trace_sink(sink);
+        }
+        let output = scenario.run_trial(config, machine, ctx);
+        (output, TrialStats::of(machine), machine.take_trace_sink())
     })
 }
 
@@ -214,7 +233,7 @@ pub struct RunOptions {
     /// entirely (no sinks are installed).
     pub capacity: usize,
     /// Run-level fault-plan override, installed on every trial machine
-    /// *after* [`Scenario::build_machine`]. `None` leaves whatever the
+    /// *after* [`Scenario::prepare_machine`]. `None` leaves whatever the
     /// config wired in place.
     pub fault_plan: Option<FaultPlan>,
 }
@@ -280,9 +299,9 @@ pub struct RunGeometry {
     /// Worker threads the run fans out over.
     pub threads: usize,
     /// Consecutive trials per unit of work (chunk) in the untraced
-    /// driver. Outputs are chunk-size independent (see
-    /// [`Scenario::run_batch`]); the value only trades scheduling
-    /// overhead against load balance.
+    /// driver — the unit a checkpoint manifest records. Outputs are
+    /// chunk-size independent; the value only trades scheduling overhead
+    /// against load balance.
     pub chunk: usize,
 }
 
@@ -320,18 +339,17 @@ pub fn run_geometry<S: Scenario>(
 }
 
 /// How many consecutive trials one worker claims per queue operation in
-/// the untraced (chunked) driver: the batch a recycled lane amortizes
-/// machine construction over. Outputs are chunk-size independent (see
-/// [`Scenario::run_batch`]); the value only trades scheduling overhead
-/// against load balance.
+/// the untraced (chunked) driver. Outputs are chunk-size independent;
+/// the value only trades scheduling overhead against load balance.
 fn trial_chunk(trials: usize, threads: usize) -> usize {
     trials.div_ceil(threads.max(1) * 2).clamp(1, 32)
 }
 
 /// Runs `scenario` under `config` and `opts`: derives per-trial seeds,
-/// builds each trial's machine, applies the run-level fault-plan
-/// override, installs trace sinks (when `opts.capacity > 0`), fans the
-/// trials out, and reduces the ordered outputs into the summary.
+/// fans the trials out, runs each through [`run_recycled_trial`]
+/// (recycled machine, run-level fault-plan override, trace sink when
+/// `opts.capacity > 0`), and reduces the ordered outputs into the
+/// summary.
 ///
 /// Bit-identical at any worker count; with tracing enabled the per-trial
 /// wiring matches the layout the attacks' hand-rolled `*_traced`
@@ -350,51 +368,66 @@ pub fn run_scenario<S: Scenario>(
         threads,
         chunk,
     } = geometry;
-    let make_ctx = |i: usize, trial_seed: u64| TrialCtx {
-        index: i,
-        seed: trial_seed,
-        experiment_seed: seed,
-    };
     let (ran, sink) = if opts.capacity == 0 {
-        // Untraced runs take the batched path: a chunk of consecutive
-        // trials is the unit of work, handed whole to the scenario's
-        // `run_batch` so lane-recycling overrides can amortize machine
-        // construction across it. Chunk geometry cannot leak into the
-        // outputs (see `Scenario::run_batch`), so this arm stays
-        // bit-identical to the per-trial fan-out it replaced.
         let ran = exec::parallel_trial_chunks(seed, trials, threads, chunk, |start, seeds| {
-            let ctxs: Vec<TrialCtx> = seeds
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| make_ctx(start + k, s))
-                .collect();
-            scenario.run_batch(config, &ctxs, opts.fault_plan)
+            untraced_chunk(scenario, config, seed, start, seeds, opts.fault_plan)
         });
         (ran, None)
     } else {
-        let capacity = opts.capacity;
-        let (ran, sink) =
-            exec::parallel_trials_traced(seed, trials, threads, capacity, |i, s, task_sink| {
-                let ctx = make_ctx(i, s);
-                let mut machine = scenario.build_machine(config, &ctx);
-                if let Some(plan) = opts.fault_plan {
-                    machine.set_fault_plan(Some(plan));
-                }
-                // Leave room for the engine's TrialStart/TrialEnd
-                // brackets so a machine-full ring cannot overflow the
-                // task sink.
-                machine.install_trace_sink(obs::TraceSink::with_capacity(
-                    capacity.saturating_sub(2).max(1),
-                ));
-                let output = scenario.run_trial(config, &mut machine, &ctx);
-                let machine_sink = machine.take_trace_sink().expect("sink installed");
-                task_sink.absorb(&machine_sink, 0);
-                let stats = TrialStats::of(&machine);
+        // Leave room for the engine's TrialStart/TrialEnd brackets so a
+        // machine-full ring cannot overflow the task sink.
+        let machine_capacity = opts.capacity.saturating_sub(2).max(1);
+        let (ran, sink) = exec::parallel_trials_traced(
+            seed,
+            trials,
+            threads,
+            opts.capacity,
+            |index, trial_seed, task_sink| {
+                let ctx = TrialCtx {
+                    index,
+                    seed: trial_seed,
+                    experiment_seed: seed,
+                };
+                let (output, stats, machine_sink) = run_recycled_trial(
+                    scenario,
+                    config,
+                    &ctx,
+                    opts.fault_plan,
+                    Some(obs::TraceSink::with_capacity(machine_capacity)),
+                );
+                task_sink.absorb(&machine_sink.expect("sink installed"), 0);
                 (output, stats)
-            });
+            },
+        );
         (ran, Some(sink))
     };
     assemble_run(scenario, config, seed, trials, sink, ran)
+}
+
+/// Runs one untraced chunk of consecutive trials starting at index
+/// `start`: the unit of work of the plain and checkpointed drivers.
+fn untraced_chunk<S: Scenario>(
+    scenario: &S,
+    config: &S::Config,
+    experiment_seed: u64,
+    start: usize,
+    seeds: &[u64],
+    fault_override: Option<FaultPlan>,
+) -> Vec<(S::TrialOutput, TrialStats)> {
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(k, &seed)| {
+            let ctx = TrialCtx {
+                index: start + k,
+                seed,
+                experiment_seed,
+            };
+            let (output, stats, _) =
+                run_recycled_trial(scenario, config, &ctx, fault_override, None);
+            (output, stats)
+        })
+        .collect()
 }
 
 /// Folds the ordered `(output, stats)` pairs into a [`ScenarioRun`]:
@@ -501,18 +534,7 @@ where
         manifest,
         threads,
         threads,
-        |start, seeds| {
-            let ctxs: Vec<TrialCtx> = seeds
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| TrialCtx {
-                    index: start + k,
-                    seed: s,
-                    experiment_seed: seed,
-                })
-                .collect();
-            scenario.run_batch(config, &ctxs, opts.fault_plan)
-        },
+        |start, seeds| untraced_chunk(scenario, config, seed, start, seeds, opts.fault_plan),
         persist,
     );
     assemble_run(
@@ -754,8 +776,8 @@ mod tests {
             requested.unwrap_or(3)
         }
 
-        fn build_machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(MachineConfig::xiaomi_air13(), ctx.seed)
+        fn machine_config(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+            (MachineConfig::xiaomi_air13(), ctx.seed)
         }
 
         fn run_trial(&self, config: &ProbeConfig, machine: &mut Machine, ctx: &TrialCtx) -> u64 {
@@ -871,94 +893,37 @@ mod tests {
         }
     }
 
-    /// A scenario whose `run_batch` recycles a lane through
-    /// [`with_recycled_machine`], mirroring the kaslr/covert overrides.
-    struct RecycledProbe;
-
-    impl Scenario for RecycledProbe {
-        type Config = ProbeConfig;
-        type TrialOutput = u64;
-        type Summary = ProbeSummary;
-
-        fn name(&self) -> &'static str {
-            "recycled_probe"
-        }
-
-        fn describe(&self) -> &'static str {
-            "lane-recycling self-test scenario"
-        }
-
-        fn experiment_seed(&self, _config: &ProbeConfig, requested: Option<u64>) -> u64 {
-            requested.unwrap_or(0x5CE0)
-        }
-
-        fn trial_count(&self, _config: &ProbeConfig, requested: Option<usize>) -> usize {
-            requested.unwrap_or(12)
-        }
-
-        fn build_machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(MachineConfig::xiaomi_air13(), ctx.seed)
-        }
-
-        fn run_trial(&self, config: &ProbeConfig, machine: &mut Machine, _ctx: &TrialCtx) -> u64 {
-            machine.spin(config.spins.max(1_000_000));
-            machine.kernel_entries()
-        }
-
-        fn run_batch(
-            &self,
-            config: &ProbeConfig,
-            ctxs: &[TrialCtx],
-            fault_override: Option<FaultPlan>,
-        ) -> Vec<(u64, TrialStats)> {
-            ctxs.iter()
-                .map(|ctx| {
-                    with_recycled_machine(MachineConfig::xiaomi_air13(), ctx.seed, |machine| {
-                        if let Some(plan) = fault_override {
-                            machine.set_fault_plan(Some(plan));
-                        }
-                        let output = self.run_trial(config, machine, ctx);
-                        (output, TrialStats::of(machine))
-                    })
-                })
-                .collect()
-        }
-
-        fn summarize(&self, _config: &ProbeConfig, outputs: &[u64]) -> ProbeSummary {
-            ProbeSummary {
-                seeds: outputs.to_vec(),
-            }
-        }
-    }
-
     #[test]
-    fn recycled_batch_override_matches_fresh_machines_at_any_geometry() {
+    fn recycled_machines_match_fresh_machines_at_any_thread_count() {
         let config = ProbeConfig { spins: 30_000_000 };
-        // Reference: fresh machine per trial (what the default
-        // `run_batch` would do with RecycledProbe's trial body).
-        let reference: Vec<u64> = (0..12)
+        // Reference: a fresh machine per trial. Probe's outputs are the
+        // seeds, so the machine-dependent stats carry the comparison.
+        let reference: Vec<TrialStats> = (0..12)
             .map(|i| {
                 let ctx = TrialCtx {
                     index: i,
                     seed: exec::derive_seed(0x5CE0, i as u64),
                     experiment_seed: 0x5CE0,
                 };
-                let mut machine = RecycledProbe.build_machine(&config, &ctx);
-                RecycledProbe.run_trial(&config, &mut machine, &ctx)
+                let mut machine = Probe.build_machine(&config, &ctx);
+                Probe.run_trial(&config, &mut machine, &ctx);
+                TrialStats::of(&machine)
             })
             .collect();
+        let fresh_deliveries: Vec<u64> = reference.iter().map(|s| s.gt_deliveries).collect();
         for threads in [1, 2, 4] {
             let run = run_scenario(
-                &RecycledProbe,
+                &Probe,
                 &config,
                 &RunOptions {
+                    trials: Some(12),
                     threads: Some(threads),
                     ..RunOptions::default()
                 },
             );
-            assert_eq!(run.outputs, reference, "threads {threads}");
+            assert_eq!(run.gt_deliveries, fresh_deliveries, "threads {threads}");
             assert_eq!(run.totals.trials, 12);
-            assert_eq!(run.total_gt_deliveries(), run.gt_deliveries.iter().sum());
+            assert_eq!(run.total_gt_deliveries(), fresh_deliveries.iter().sum());
         }
     }
 
@@ -999,9 +964,9 @@ mod tests {
             threads: Some(2),
             ..RunOptions::default()
         };
-        let reference = run_scenario(&RecycledProbe, &config, &opts);
-        let mut manifest = checkpoint_manifest(&RecycledProbe, &config, &opts);
-        let run = run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut manifest, |_| {});
+        let reference = run_scenario(&Probe, &config, &opts);
+        let mut manifest = checkpoint_manifest(&Probe, &config, &opts);
+        let run = run_scenario_checkpointed(&Probe, &config, &opts, &mut manifest, |_| {});
         assert!(manifest.is_complete());
         assert_eq!(run, reference);
     }
@@ -1014,14 +979,14 @@ mod tests {
             threads: Some(2),
             ..RunOptions::default()
         };
-        let reference = run_scenario(&RecycledProbe, &config, &opts);
+        let reference = run_scenario(&Probe, &config, &opts);
 
         // First life: run until the first persist, then "die" holding
         // only what persist saw — exactly what a kill leaves on disk.
-        let mut first = checkpoint_manifest(&RecycledProbe, &config, &opts);
+        let mut first = checkpoint_manifest(&Probe, &config, &opts);
         let mut saved: Option<String> = None;
         let salvaged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut first, |m| {
+            run_scenario_checkpointed(&Probe, &config, &opts, &mut first, |m| {
                 if saved.is_none() {
                     saved = Some(m.to_json());
                     panic!("killed");
@@ -1035,11 +1000,10 @@ mod tests {
         // the run geometry, and resume.
         let mut revived: exec::ChunkManifest<(u64, TrialStats)> =
             exec::ChunkManifest::from_json(&saved).expect("parses");
-        let fresh = checkpoint_manifest(&RecycledProbe, &config, &opts);
+        let fresh = checkpoint_manifest(&Probe, &config, &opts);
         assert!(revived.matches(fresh.experiment_seed(), fresh.trials(), fresh.chunk()));
         assert!(!revived.is_complete(), "the kill left work behind");
-        let resumed =
-            run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut revived, |_| {});
+        let resumed = run_scenario_checkpointed(&Probe, &config, &opts, &mut revived, |_| {});
         assert_eq!(resumed, reference);
         assert_eq!(
             serde_json::to_string(&resumed.summary).expect("serializable"),
@@ -1047,75 +1011,9 @@ mod tests {
         );
     }
 
-    /// A scenario that records the chunk partition its `run_batch` sees,
-    /// so tests can observe the untraced driver's actual geometry.
-    struct ChunkSpy {
-        chunks: std::sync::Mutex<Vec<(usize, usize)>>,
-    }
-
-    impl Scenario for ChunkSpy {
-        type Config = ProbeConfig;
-        type TrialOutput = u64;
-        type Summary = ProbeSummary;
-
-        fn name(&self) -> &'static str {
-            "chunk_spy"
-        }
-
-        fn describe(&self) -> &'static str {
-            "records the chunk partition the driver hands run_batch"
-        }
-
-        fn experiment_seed(&self, _config: &ProbeConfig, requested: Option<u64>) -> u64 {
-            requested.unwrap_or(0x5CE0)
-        }
-
-        fn trial_count(&self, _config: &ProbeConfig, requested: Option<usize>) -> usize {
-            requested.unwrap_or(3)
-        }
-
-        fn build_machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(MachineConfig::xiaomi_air13(), ctx.seed)
-        }
-
-        fn run_trial(&self, _config: &ProbeConfig, _machine: &mut Machine, ctx: &TrialCtx) -> u64 {
-            ctx.seed
-        }
-
-        fn run_batch(
-            &self,
-            config: &ProbeConfig,
-            ctxs: &[TrialCtx],
-            fault_override: Option<FaultPlan>,
-        ) -> Vec<(u64, TrialStats)> {
-            self.chunks
-                .lock()
-                .unwrap()
-                .push((ctxs[0].index, ctxs.len()));
-            ctxs.iter()
-                .map(|ctx| {
-                    let mut machine = self.build_machine(config, ctx);
-                    if let Some(plan) = fault_override {
-                        machine.set_fault_plan(Some(plan));
-                    }
-                    (
-                        self.run_trial(config, &mut machine, ctx),
-                        TrialStats::of(&machine),
-                    )
-                })
-                .collect()
-        }
-
-        fn summarize(&self, _config: &ProbeConfig, outputs: &[u64]) -> ProbeSummary {
-            ProbeSummary {
-                seeds: outputs.to_vec(),
-            }
-        }
-    }
-
-    /// Satellite of the campaign PR: the chunk geometry is resolved in
-    /// exactly one place ([`run_geometry`]), so the untraced driver, the
-    /// fresh manifest, and the checkpointed driver can never drift.
+    /// The chunk geometry is resolved in exactly one place
+    /// ([`run_geometry`]), so the untraced driver, the fresh manifest,
+    /// and the checkpointed driver can never drift.
     #[test]
     fn geometry_is_shared_by_driver_manifest_and_checkpointed_run() {
         let config = ProbeConfig::default();
@@ -1125,36 +1023,16 @@ mod tests {
                 threads: Some(threads),
                 ..RunOptions::default()
             };
-            let geometry = run_geometry(&ChunkSpy::default(), &config, &opts);
+            let geometry = run_geometry(&Probe, &config, &opts);
             assert_eq!(geometry.experiment_seed, 0x5CE0);
             assert_eq!(geometry.trials, trials);
             assert_eq!(geometry.threads, threads);
             assert_eq!(geometry.chunk, trial_chunk(trials, threads));
 
             // The fresh checkpoint manifest carries the same geometry.
-            let spy = ChunkSpy::default();
-            let manifest = checkpoint_manifest(&spy, &config, &opts);
+            let manifest = checkpoint_manifest(&Probe, &config, &opts);
             assert!(geometry.matches(&manifest));
             assert!(manifest.matches(geometry.experiment_seed, geometry.trials, geometry.chunk));
-
-            // And the untraced driver partitions the trials into exactly
-            // the chunks that geometry describes.
-            let _ = run_scenario(&spy, &config, &opts);
-            let mut seen = spy.chunks.lock().unwrap().clone();
-            seen.sort_unstable();
-            let expected: Vec<(usize, usize)> = (0..trials)
-                .step_by(geometry.chunk)
-                .map(|start| (start, geometry.chunk.min(trials - start)))
-                .collect();
-            assert_eq!(seen, expected, "trials {trials}, threads {threads}");
-        }
-    }
-
-    impl Default for ChunkSpy {
-        fn default() -> Self {
-            ChunkSpy {
-                chunks: std::sync::Mutex::new(Vec::new()),
-            }
         }
     }
 
@@ -1190,6 +1068,6 @@ mod tests {
             ..RunOptions::default()
         };
         let mut manifest = exec::ChunkManifest::new(0xBAD, 99, 1);
-        let _ = run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut manifest, |_| {});
+        let _ = run_scenario_checkpointed(&Probe, &config, &opts, &mut manifest, |_| {});
     }
 }

@@ -235,10 +235,10 @@ impl Machine {
     /// existing heap allocations (cache arrays, ground-truth buffer)
     /// instead of re-allocating them.
     ///
-    /// Batched trial runners lean on this: a lane runs one trial, is
-    /// reset, and runs the next — with the cache hierarchy's O(1)
-    /// epoch-clear the reset costs nanoseconds where a fresh
-    /// [`Machine::new`] pays the full allocation bill. The RNG-draw order
+    /// The scenario driver leans on this: each worker thread keeps one
+    /// machine, runs a trial, resets it, and runs the next — with the
+    /// cache hierarchy's O(1) epoch-clear the reset costs nanoseconds
+    /// where a fresh [`Machine::new`] pays the full allocation bill. The RNG-draw order
     /// (seed, timer, PMI, resched, frequency model) replays `new`'s
     /// exactly, so a reset machine is draw-for-draw indistinguishable
     /// from a fresh one.
@@ -599,16 +599,6 @@ impl Machine {
     /// Reads the visible selector of any data-segment register.
     pub fn rdseg(&mut self, reg: DataSegReg) -> Selector {
         self.exec_op(self.config.rdseg_cycles);
-        self.regs.selector(reg)
-    }
-
-    /// The visible selector of `reg`, read *without* executing an
-    /// instruction: no cycles consumed, no RNG draws. **Simulator API** —
-    /// batch runners mirror selector state into their struct-of-arrays
-    /// views with this; attacker code must use [`rdseg`](Machine::rdseg).
-    #[inline]
-    #[must_use]
-    pub fn peek_seg(&self, reg: DataSegReg) -> Selector {
         self.regs.selector(reg)
     }
 

@@ -1,13 +1,72 @@
 //! Property-based tests for the machine simulator.
 
 use irq::time::Ps;
+use memsim::KaslrLayout;
 use proptest::prelude::*;
-use segsim::{Machine, MachineConfig, SpanEnd};
+use rand::Rng;
+use segsim::{CoResident, Defense, FaultPlan, Machine, MachineConfig, SpanEnd};
 use x86seg::{DataSegReg, Selector};
 
 fn table1_machine(idx: usize, seed: u64) -> Machine {
     let configs = MachineConfig::table1();
     Machine::new(configs[idx % configs.len()].clone(), seed)
+}
+
+/// A Table I preset under one of four fault plans and one of three
+/// defenses, picked by `idx`.
+fn varied_config(idx: usize) -> MachineConfig {
+    let presets = MachineConfig::table1();
+    let config = presets[idx % presets.len()].clone();
+    let config = match (idx / presets.len()) % 4 {
+        0 => config,
+        1 => config.with_fault_plan(FaultPlan::timing_storm()),
+        2 => config.with_fault_plan(FaultPlan::delivery_storm()),
+        _ => config.with_fault_plan(
+            FaultPlan::none()
+                .with_drop_prob(0.1)
+                .with_duplicate_prob(0.05),
+        ),
+    };
+    let defense = match (idx / (presets.len() * 4)) % 3 {
+        0 => Defense::None,
+        1 => Defense::QuanShield,
+        _ => Defense::default_padding(),
+    };
+    config.with_defense(defense)
+}
+
+/// Dirties `machine` with every piece of post-boot wiring a scenario
+/// may apply (KASLR layout, co-resident victim, pinned frequency, local
+/// load, a trace sink, enclave entry and teardown) interleaved with
+/// random guest ops.
+fn dirty(machine: &mut Machine, ops: &[u8]) {
+    let layout = KaslrLayout::randomize(machine.rng_mut());
+    machine.set_kaslr(layout);
+    machine.set_co_resident(Some(CoResident::browser()));
+    machine.install_trace_sink(obs::TraceSink::with_capacity(256));
+    for (i, &op) in ops.iter().enumerate() {
+        match op % 8 {
+            0 => {
+                let _ = machine.wrgs(Selector::from_bits(1 + (i % 3) as u16));
+            }
+            1 => machine.spin(1_000 + 500 * i as u64),
+            2 => {
+                let _ = machine.rdgs();
+            }
+            3 => {
+                let _ = machine.run_user_until(machine.now() + Ps::from_us(300));
+            }
+            4 => machine.pin_frequency(Some(machine.config().freq.min_khz)),
+            5 => machine.set_local_load(0.3),
+            6 => {
+                if machine.enter_enclave() {
+                    let _ = machine.run_user_until(machine.now() + Ps::from_ms(2));
+                    machine.exit_enclave();
+                }
+            }
+            _ => machine.set_fault_plan(Some(FaultPlan::delivery_storm())),
+        }
+    }
 }
 
 proptest! {
@@ -72,6 +131,32 @@ proptest! {
         for reg in DataSegReg::ALL {
             prop_assert!(!machine.rdseg(reg).is_nonzero_null());
         }
+    }
+
+    /// Reset ≡ new: a machine dirtied by random ops and every kind of
+    /// scenario wiring, then reset, is indistinguishable from a fresh
+    /// machine — equal snapshots, no trace sink, and the same next RNG
+    /// draw. The scenario driver recycles one machine per worker thread
+    /// on exactly this property.
+    #[test]
+    fn reset_machine_matches_a_fresh_one(
+        ops in prop::collection::vec(0u8..8, 1..40),
+        dirty_idx in 0usize..72,
+        fresh_idx in 0usize..72,
+        seed in 0u64..100_000,
+    ) {
+        let mut machine = Machine::new(varied_config(dirty_idx), seed);
+        dirty(&mut machine, &ops);
+        let fresh_seed = seed.wrapping_mul(0x9E37_79B9).wrapping_add(1);
+        machine.reset(varied_config(fresh_idx), fresh_seed);
+        let mut fresh = Machine::new(varied_config(fresh_idx), fresh_seed);
+        prop_assert!(machine.trace_sink().is_none(), "reset must drop the sink");
+        prop_assert_eq!(machine.snapshot(), fresh.snapshot());
+        for _ in 0..4 {
+            let deadline = fresh.now() + Ps::from_ms(3);
+            prop_assert_eq!(machine.run_user_until(deadline), fresh.run_user_until(deadline));
+        }
+        prop_assert_eq!(machine.rng_mut().gen::<u64>(), fresh.rng_mut().gen::<u64>());
     }
 
     /// Frequency always stays within the machine's configured envelope.

@@ -93,24 +93,13 @@ pub fn serve_sequential<M: StepModel>(model: &M, traces: &[Vec<Vec<f32>>]) -> Ve
     verdicts
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a verdict sequence (class then step count of each
 /// verdict, little-endian) — the order-sensitive identity the bench
 /// gate and the CI smoke compare serving paths with.
 #[must_use]
 pub fn verdict_fnv(verdicts: &[Verdict]) -> u64 {
-    let mut hash = FNV_BASIS;
-    let mut fold = |value: u64| {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for v in verdicts {
-        fold(v.class as u64);
-        fold(v.steps as u64);
-    }
-    hash
+    verdicts.iter().fold(obs::FNV_OFFSET, |hash, v| {
+        let hash = obs::fnv1a(hash, &(v.class as u64).to_le_bytes());
+        obs::fnv1a(hash, &(v.steps as u64).to_le_bytes())
+    })
 }

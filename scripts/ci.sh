@@ -13,6 +13,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
+echo "==> perfbench tests (the benchmark's use of the workspace API)"
+# perfbench is a workspace of its own that builds the crates by path; its
+# tests fail here, not at the next benchmark run, when a workspace API it
+# calls changes.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> examples (release, seeded)"
 for example in covert_channel kaslr_break keystroke_monitor quickstart \
                segscope_timer spectral_enhance spectre_leak website_fingerprint; do
@@ -103,7 +109,7 @@ SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_hotpath.json" \
 # The binary already enforces the hot-path invariants via validate();
 # here we check the emitted file carries the schema CI consumers read.
 for key in fabric probe scenario note naive_events_per_s \
-           calendar_events_per_s speedup alloc_reduction trials_per_s; do
+           fabric_events_per_s speedup alloc_reduction trials_per_s; do
     if ! grep -q "\"$key\"" target/BENCH_hotpath.json; then
         echo "target/BENCH_hotpath.json missing key \"$key\"" >&2
         exit 1
@@ -111,13 +117,14 @@ for key in fabric probe scenario note naive_events_per_s \
 done
 
 echo "==> bench_batched (quick) + BENCH_batched.json schema"
-# validate() inside the binary enforces the hard gates: batched path
-# bit-identical to scalar, adaptive fabric >= 1.0x at 3 sources, batched
-# trials >= 2x (>= 5x when SEGSCOPE_BENCH_FULL=1).
+# validate() inside the binary enforces the hard gates: recycled-machine
+# trials bit-identical to fresh ones, cached fabric >= 1.0x the naive
+# scan at 3 sources, recycled trials >= 2x (>= 5x when
+# SEGSCOPE_BENCH_FULL=1).
 SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_batched.json" \
     cargo bench -q --offline -p segscope-bench --bench bench_batched >/dev/null
-for key in fabric trials full_scale note mode peeks_per_pop \
-           adaptive_events_per_s scalar_trials_per_s batched_trials_per_s \
+for key in fabric trials full_scale note peeks_per_pop \
+           fabric_events_per_s fresh_trials_per_s recycled_trials_per_s \
            slots_per_trial speedup identical; do
     if ! grep -q "\"$key\"" target/BENCH_batched.json; then
         echo "target/BENCH_batched.json missing key \"$key\"" >&2

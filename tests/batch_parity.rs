@@ -1,208 +1,269 @@
-//! Workspace-level batched-vs-scalar parity: the batched execution path
-//! must be architecturally invisible at every layer it touches.
+//! Workspace-level recycled-vs-fresh parity: machine recycling in the
+//! scenario driver must be architecturally invisible for every
+//! registered scenario.
 //!
-//! Two differential oracles:
-//!
-//! 1. [`MachineBatch`] lanes with *random per-lane configurations*
-//!    (vendor preset × fault plan × seed) at the required batch sizes
-//!    1, 4, 17, and 64 produce the same probe samples, the same
-//!    [`FaultLog`]s, and the same final RNG positions as scalar
-//!    [`Machine`]s run one by one.
-//! 2. A scenario's recycled-lane `run_batch` override (the KASLR break)
-//!    matches the per-trial `build_machine` + `run_trial` path at the
-//!    same chunk sizes, output for output and delivery for delivery.
+//! The oracle is a test-side loop that builds a fresh machine per trial
+//! ([`Scenario::build_machine`] + [`Scenario::run_trial`]). The driver's
+//! per-trial body ([`run_recycled_trial`]) fanned out at chunk sizes 1,
+//! 4, 17 and 64, and [`run_scenario`] itself on one thread (one machine
+//! recycled across every trial), must match it on per-trial
+//! [`TrialStats`] and on the serialized summary — and, for kaslr and
+//! covert, on the per-trial outputs.
 
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use segscope_repro::attacks::kaslr::{KaslrConfig, KaslrScenario, KaslrScenarioConfig};
-use segscope_repro::irq::time::Ps;
+use segscope_repro::attacks::{
+    aexcount, circl, covert, dnnsteal, heckler, kaslr, keystroke, procfp, spectral, spectre,
+    website,
+};
+use segscope_repro::exec;
 use segscope_repro::replay::first_divergence;
-use segscope_repro::scenario::{Scenario, TrialCtx};
-use segscope_repro::segsim::{FaultPlan, Machine, MachineBatch, MachineConfig};
-use segscope_repro::x86seg::Selector;
+use segscope_repro::scenario::{
+    run_geometry, run_recycled_trial, run_scenario, RunOptions, Scenario, TrialCtx, TrialStats,
+};
+use segscope_repro::segsim::{FaultPlan, MachineConfig};
+use serde::Serialize;
 
-/// The chunk/batch sizes the batched path must be transparent at: a
-/// degenerate single lane, a small chunk, a prime that never divides the
-/// workload evenly, and a full-width batch.
+/// The chunk sizes recycling must be transparent at: a degenerate
+/// single trial, a small chunk, a prime that never divides the workload
+/// evenly, and a chunk wider than most runs.
 const REQUIRED_SIZES: [usize; 4] = [1, 4, 17, 64];
 
-/// Draws one per-lane `(config, seed)` pair: vendor preset × fault plan
-/// × seed, all from a dedicated generator rng so the draws never touch
-/// the machine streams under test.
-fn draw_lane(rng: &mut SmallRng) -> (MachineConfig, u64) {
-    let presets = MachineConfig::table1();
-    let mut config = presets[rng.gen_range(0..presets.len())].clone();
-    config = match rng.gen_range(0u8..4) {
-        0 => config, // no plan
-        1 => config.with_fault_plan(FaultPlan::timing_storm()),
-        2 => config.with_fault_plan(FaultPlan::delivery_storm()),
-        _ => config.with_fault_plan(
-            FaultPlan::none()
-                .with_drop_prob(0.08)
-                .with_duplicate_prob(0.04),
-        ),
+/// Worker threads of the chunked fan-outs, so chunks land on more than
+/// one recycled machine.
+const THREADS: usize = 2;
+
+/// Per-trial outputs of the fresh oracle and of every recycled run, for
+/// the callers that also compare outputs.
+struct Parity<T> {
+    fresh: Vec<T>,
+    recycled: Vec<Vec<T>>,
+}
+
+fn summary_json<S: Scenario>(
+    scenario: &S,
+    config: &S::Config,
+    outputs: &[S::TrialOutput],
+) -> String {
+    serde_json::to_string(&scenario.summarize(config, outputs).to_value()).expect("serializes")
+}
+
+/// Runs `scenario` fresh-per-trial and recycled at every required chunk
+/// size (and through [`run_scenario`]), asserting identical per-trial
+/// stats and identical serialized summaries.
+fn assert_recycled_matches_fresh<S: Scenario>(
+    scenario: &S,
+    config: &S::Config,
+    trials: Option<usize>,
+    fault_override: Option<FaultPlan>,
+) -> Parity<S::TrialOutput> {
+    let opts = RunOptions {
+        trials,
+        threads: Some(1),
+        fault_plan: fault_override,
+        ..RunOptions::default()
     };
-    (config, rng.gen::<u64>())
-}
+    let geometry = run_geometry(scenario, config, &opts);
+    let seed = geometry.experiment_seed;
+    let ctx = |index: usize| TrialCtx {
+        index,
+        seed: exec::derive_seed(seed, index as u64),
+        experiment_seed: seed,
+    };
+    let name = scenario.name();
 
-/// Runs the shared probe workload on a batch, returning the per-lane
-/// sample series (one `Vec<u16>` of rdgs samples per lane).
-fn drive_batch(batch: &mut MachineBatch, rounds: usize) -> Vec<Vec<u16>> {
-    let mut samples = vec![Vec::new(); batch.len()];
-    for round in 0..rounds {
-        let sel = Selector::from_bits(1 + (round % 3) as u16);
-        batch.wrgs_all(sel).expect("flat selectors load");
-        batch.spin_all(3_000 + (round as u64 % 7) * 500);
-        for (lane, &bits) in batch.rdgs_all().iter().enumerate() {
-            samples[lane].push(bits);
+    let (fresh, fresh_stats): (Vec<_>, Vec<_>) = (0..geometry.trials)
+        .map(|index| {
+            let ctx = ctx(index);
+            let mut machine = scenario.build_machine(config, &ctx);
+            if let Some(plan) = fault_override {
+                machine.set_fault_plan(Some(plan));
+            }
+            let output = scenario.run_trial(config, &mut machine, &ctx);
+            (output, TrialStats::of(&machine))
+        })
+        .unzip();
+    let fresh_summary = summary_json(scenario, config, &fresh);
+
+    let mut recycled = Vec::new();
+    for chunk in REQUIRED_SIZES {
+        let ran =
+            exec::parallel_trial_chunks(seed, geometry.trials, THREADS, chunk, |start, seeds| {
+                (start..start + seeds.len())
+                    .map(|index| {
+                        let (output, stats, _) =
+                            run_recycled_trial(scenario, config, &ctx(index), fault_override, None);
+                        (output, stats)
+                    })
+                    .collect()
+            });
+        let (outputs, stats): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
+        if let Some(at) = first_divergence(&fresh_stats, &stats) {
+            panic!(
+                "{name}, chunk size {chunk}: stats first diverge at trial {at}\n  \
+                 fresh:    {:?}\n  recycled: {:?}",
+                fresh_stats.get(at),
+                stats.get(at),
+            );
         }
-        if round % 5 == 4 {
-            let deadline =
-                batch.nows().iter().copied().max().unwrap_or(Ps::ZERO) + Ps::from_us(400);
-            batch.run_all_until(deadline);
-        }
+        assert_eq!(
+            summary_json(scenario, config, &outputs),
+            fresh_summary,
+            "{name}, chunk size {chunk}: summary"
+        );
+        recycled.push(outputs);
     }
-    samples
+
+    let run = run_scenario(scenario, config, &opts);
+    let fresh_deliveries: Vec<u64> = fresh_stats.iter().map(|s| s.gt_deliveries).collect();
+    assert_eq!(
+        run.gt_deliveries, fresh_deliveries,
+        "{name}: driver deliveries"
+    );
+    assert_eq!(
+        serde_json::to_string(&run.summary.to_value()).expect("serializes"),
+        fresh_summary,
+        "{name}: driver summary"
+    );
+    recycled.push(run.outputs);
+    Parity { fresh, recycled }
 }
 
-/// Runs the identical workload on one scalar machine.
-fn drive_scalar(machine: &mut Machine, rounds: usize, deadlines: &[Ps]) -> Vec<u16> {
-    let mut samples = Vec::new();
-    let mut next_deadline = deadlines.iter();
-    for round in 0..rounds {
-        let sel = Selector::from_bits(1 + (round % 3) as u16);
-        machine.wrgs(sel).expect("flat selectors load");
-        machine.spin(3_000 + (round as u64 % 7) * 500);
-        samples.push(machine.rdgs().bits());
-        if round % 5 == 4 {
-            let deadline = *next_deadline.next().expect("deadline per barrier round");
-            while machine.now() < deadline {
-                let _ = machine.run_user_until(deadline);
-            }
-        }
-    }
-    samples
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// At every required batch size, random heterogeneous lanes match
-    /// scalar machines sample for sample, fault for fault, and draw for
-    /// draw.
-    #[test]
-    fn batched_lanes_match_scalar_at_required_sizes(
-        seed in 0u64..1_000_000,
-        rounds in 10usize..25,
-    ) {
-        for &size in &REQUIRED_SIZES {
-            let mut gen_rng = SmallRng::seed_from_u64(seed ^ 0x5ca1_ab1e);
-            let lanes: Vec<(MachineConfig, u64)> =
-                (0..size).map(|_| draw_lane(&mut gen_rng)).collect();
-
-            let mut batch = MachineBatch::from_configs(lanes.clone());
-            let batch_samples = drive_batch(&mut batch, rounds);
-
-            // Replay the barrier deadlines the batch actually used: the
-            // scalar replay must chase the same absolute instants even
-            // though it cannot see the other lanes' clocks.
-            let mut replay = MachineBatch::from_configs(lanes.clone());
-            let mut deadlines = Vec::new();
-            for round in 0..rounds {
-                let sel = Selector::from_bits(1 + (round % 3) as u16);
-                replay.wrgs_all(sel).expect("flat selectors load");
-                replay.spin_all(3_000 + (round as u64 % 7) * 500);
-                let _ = replay.rdgs_all();
-                if round % 5 == 4 {
-                    let deadline = replay.nows().iter().copied().max().unwrap_or(Ps::ZERO)
-                        + Ps::from_us(400);
-                    deadlines.push(deadline);
-                    replay.run_all_until(deadline);
-                }
-            }
-
-            for (i, (config, lane_seed)) in lanes.iter().enumerate() {
-                let mut scalar = Machine::new(config.clone(), *lane_seed);
-                let scalar_samples = drive_scalar(&mut scalar, rounds, &deadlines);
-                // Stream comparisons report the first diverging index
-                // and both sides, not whole-vector inequality.
-                if let Some(at) = first_divergence(&scalar_samples, &batch_samples[i]) {
-                    prop_assert!(
-                        false,
-                        "size {} lane {}: samples first diverge at round {}: \
-                         scalar {:?} vs batched {:?}",
-                        size, i, at,
-                        scalar_samples.get(at), batch_samples[i].get(at)
-                    );
-                }
-                prop_assert_eq!(
-                    scalar.fault_log(), batch.lane(i).fault_log(),
-                    "size {} lane {} fault log", size, i
-                );
-                if let Some(at) = first_divergence(
-                    scalar.ground_truth().records(),
-                    batch.lane(i).ground_truth().records(),
-                ) {
-                    prop_assert!(
-                        false,
-                        "size {} lane {}: deliveries first diverge at record {}: \
-                         scalar {:?} vs batched {:?}",
-                        size, i, at,
-                        scalar.ground_truth().records().get(at),
-                        batch.lane(i).ground_truth().records().get(at)
-                    );
-                }
-                prop_assert_eq!(
-                    scalar.rng_mut().gen::<u64>(),
-                    batch.with_lane_mut(i, |l| l.rng_mut().gen::<u64>()),
-                    "size {} lane {} RNG position", size, i
-                );
-            }
+/// Asserts every recycled run reproduced the fresh oracle's outputs.
+fn assert_outputs_match<T: PartialEq + std::fmt::Debug>(name: &str, parity: &Parity<T>) {
+    for (run, outputs) in parity.recycled.iter().enumerate() {
+        if let Some(at) = first_divergence(&parity.fresh, outputs) {
+            panic!(
+                "{name}, recycled run {run}: outputs first diverge at trial {at}\n  \
+                 fresh:    {:?}\n  recycled: {:?}",
+                parity.fresh.get(at),
+                outputs.get(at),
+            );
         }
     }
 }
 
-/// The KASLR scenario's recycled-lane `run_batch` override returns the
-/// same outputs and ground-truth delivery counts as the per-trial
-/// fresh-machine path, at every required chunk size.
 #[test]
-fn scenario_run_batch_matches_per_trial_path_at_required_sizes() {
-    let scenario = KaslrScenario;
-    let config = KaslrScenarioConfig {
+fn kaslr_recycled_trials_match_fresh_machines() {
+    let config = kaslr::KaslrScenarioConfig {
         machine: MachineConfig::lenovo_yangtian(),
-        attack: KaslrConfig {
+        attack: kaslr::KaslrConfig {
             slots: 8,
             c: 1,
             k: 8,
             calibration: 16,
-            ..KaslrConfig::paper_default()
+            ..kaslr::KaslrConfig::paper_default()
         },
     };
-    for &size in &REQUIRED_SIZES {
-        let ctxs: Vec<TrialCtx> = (0..size)
-            .map(|index| TrialCtx {
-                index,
-                seed: segscope_repro::exec::derive_seed(0xBA7C_9A51, index as u64),
-                experiment_seed: 0xBA7C_9A51,
-            })
-            .collect();
-        let batched = scenario.run_batch(&config, &ctxs, None);
-        let reference: Vec<_> = ctxs
-            .iter()
-            .map(|ctx| {
-                let mut machine = scenario.build_machine(&config, ctx);
-                let output = scenario.run_trial(&config, &mut machine, ctx);
-                (output, segscope_repro::scenario::TrialStats::of(&machine))
-            })
-            .collect();
-        if let Some(at) = first_divergence(&batched, &reference) {
-            panic!(
-                "chunk size {size}: first divergence at trial {at}\n  \
-                 batched:   {:?}\n  per-trial: {:?}",
-                batched.get(at),
-                reference.get(at),
-            );
-        }
+    let parity = assert_recycled_matches_fresh(&kaslr::KaslrScenario, &config, Some(20), None);
+    assert_outputs_match("kaslr", &parity);
+    let stormed = assert_recycled_matches_fresh(
+        &kaslr::KaslrScenario,
+        &config,
+        Some(6),
+        Some(FaultPlan::delivery_storm()),
+    );
+    assert_outputs_match("kaslr under a delivery storm", &stormed);
+}
+
+#[test]
+fn covert_recycled_trials_match_fresh_machines() {
+    let mut config = covert::CovertScenarioConfig::default();
+    let parity = assert_recycled_matches_fresh(&covert::CovertScenario, &config, Some(5), None);
+    assert_outputs_match("covert", &parity);
+    config.channel.fault_plan = Some(FaultPlan::timing_storm());
+    let stormed = assert_recycled_matches_fresh(&covert::CovertScenario, &config, Some(3), None);
+    assert_outputs_match("covert under a timing storm", &stormed);
+}
+
+#[test]
+fn case_study_recycled_trials_match_fresh_machines() {
+    for setting in [
+        website::Setting::Default,
+        website::Setting::FrequencyScalingDisabled,
+    ] {
+        let config = website::WebsiteFpConfig {
+            n_sites: 3,
+            traces_per_site: 3,
+            epochs: 2,
+            folds: 2,
+            ..website::WebsiteFpConfig::quick(website::Browser::Chrome, setting)
+        };
+        assert_recycled_matches_fresh(&website::WebsiteScenario, &config, None, None);
     }
+    let circl_config = circl::CirclConfig {
+        fault_plan: Some(FaultPlan::delivery_storm()),
+        ..circl::CirclConfig::quick()
+    };
+    assert_recycled_matches_fresh(&circl::CirclScenario, &circl_config, Some(3), None);
+    let dnn_config = dnnsteal::DnnStealConfig {
+        train_models: 4,
+        test_models: 2,
+        epochs: 2,
+        ..dnnsteal::DnnStealConfig::quick()
+    };
+    assert_recycled_matches_fresh(&dnnsteal::DnnStealScenario, &dnn_config, None, None);
+    assert_recycled_matches_fresh(
+        &spectral::SpectralScenario,
+        &spectral::SpectralScenarioConfig::default(),
+        Some(3),
+        None,
+    );
+    assert_recycled_matches_fresh(
+        &spectre::SpectreScenario,
+        &spectre::SpectreScenarioConfig::default(),
+        Some(3),
+        None,
+    );
+}
+
+#[test]
+fn extension_and_enclave_recycled_trials_match_fresh_machines() {
+    let keystroke_config = keystroke::KeystrokeConfig {
+        users: 2,
+        enroll_sessions: 2,
+        test_sessions: 1,
+        ..keystroke::KeystrokeConfig::quick().with_fault_plan(FaultPlan::delivery_storm())
+    };
+    assert_recycled_matches_fresh(&keystroke::KeystrokeScenario, &keystroke_config, None, None);
+    let procfp_config = procfp::ProcFpConfig {
+        enroll: 1,
+        test: 1,
+        ..procfp::ProcFpConfig::quick()
+    };
+    assert_recycled_matches_fresh(&procfp::ProcFpScenario, &procfp_config, None, None);
+    for defense in [
+        segscope_repro::segsim::Defense::None,
+        segscope_repro::segsim::Defense::QuanShield,
+        segscope_repro::segsim::Defense::default_padding(),
+    ] {
+        let mut aex = aexcount::AexCountConfig::quick();
+        aex.machine = aex.machine.with_defense(defense);
+        assert_recycled_matches_fresh(&aexcount::AexCountScenario, &aex, Some(4), None);
+        let mut heck = heckler::HecklerConfig::quick();
+        heck.machine = heck.machine.with_defense(defense);
+        assert_recycled_matches_fresh(&heckler::HecklerScenario, &heck, Some(4), None);
+    }
+}
+
+/// Every registered scenario is covered by one of the tests above.
+#[test]
+fn parity_covers_the_whole_registry() {
+    let covered = [
+        "website",
+        "circl",
+        "dnnsteal",
+        "spectral",
+        "kaslr",
+        "spectre",
+        "keystroke",
+        "covert",
+        "procfp",
+        "aexcount",
+        "heckler",
+    ];
+    let registered: Vec<&str> = segscope_repro::attacks::registry()
+        .entries()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    assert_eq!(registered, covered);
 }
