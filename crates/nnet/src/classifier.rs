@@ -3,6 +3,7 @@
 //! DNN-layer-segmentation BiLSTM).
 
 use crate::dense::Dense;
+use crate::lanes::{LaneGrads, LaneTrace};
 use crate::loss::{argmax, softmax_cross_entropy_into, top_k};
 use crate::lstm::{BiLstm, Lstm};
 use crate::optim::AdamConfig;
@@ -86,31 +87,41 @@ impl SeqClassifier {
 
     /// One SGD epoch over `examples` in the given order, with gradient
     /// application every `batch` examples. Returns the mean loss.
+    ///
+    /// Each minibatch runs through the LSTM as SoA lanes; the result is
+    /// bit-identical to backpropagating one example at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sequence.
     pub fn train_epoch(&mut self, examples: &[SeqExample], batch: usize) -> f32 {
         let mut total = 0.0f32;
-        let mut in_batch = 0usize;
-        // Per-example scratch, allocated once per epoch.
+        let h = self.lstm.hidden_dim();
+        // Lane and per-example buffers, allocated once per epoch.
+        let mut trace = LaneTrace::default();
+        let mut scratch = LaneGrads::default();
+        let mut dh = Vec::new();
+        let mut h_last = vec![0.0f32; h];
         let mut logits = vec![0.0f32; self.head.output_dim()];
         let mut dlogits = vec![0.0f32; self.head.output_dim()];
-        let mut dh_last = vec![0.0f32; self.lstm.hidden_dim()];
-        for ex in examples {
-            let trace = self.lstm.forward(&ex.xs);
-            let last = trace.len() - 1;
-            self.head.forward_into(trace.hidden(last), &mut logits);
-            total += softmax_cross_entropy_into(&logits, ex.label, &mut dlogits);
-            self.head
-                .backward_into(trace.hidden(last), &dlogits, &mut dh_last);
-            self.lstm.backward_last(&trace, &dh_last);
-            in_batch += 1;
-            if in_batch == batch {
-                self.lstm.apply_grads(batch);
-                self.head.apply_grads(batch);
-                in_batch = 0;
+        let mut dh_last = vec![0.0f32; h];
+        for chunk in minibatches(examples, batch) {
+            self.lstm
+                .forward_lanes(&mut trace, chunk.len(), |e| &chunk[e].xs, false);
+            dh.clear();
+            dh.resize(trace.lane_steps() * h, 0.0f32);
+            for (e, ex) in chunk.iter().enumerate() {
+                let len = trace.len_of(e);
+                assert!(len > 0, "cannot classify an empty sequence");
+                trace.hidden_into(e, len - 1, &mut h_last);
+                self.head.forward_into(&h_last, &mut logits);
+                total += softmax_cross_entropy_into(&logits, ex.label, &mut dlogits);
+                self.head.backward_into(&h_last, &dlogits, &mut dh_last);
+                trace.scatter(e, len - 1, &dh_last, &mut dh);
             }
-        }
-        if in_batch > 0 {
-            self.lstm.apply_grads(in_batch);
-            self.head.apply_grads(in_batch);
+            self.lstm.backward_lanes(&trace, &dh, &mut scratch);
+            self.lstm.apply_grads(chunk.len());
+            self.head.apply_grads(chunk.len());
         }
         total / examples.len().max(1) as f32
     }
@@ -181,6 +192,18 @@ impl SeqTagger {
         self.head.output_dim()
     }
 
+    /// The recurrent layer (read-only).
+    #[must_use]
+    pub fn bilstm(&self) -> &BiLstm {
+        &self.bilstm
+    }
+
+    /// The output head (read-only).
+    #[must_use]
+    pub fn head(&self) -> &Dense {
+        &self.head
+    }
+
     /// Per-timestep predicted tags.
     #[must_use]
     pub fn predict(&self, xs: &[Vec<f32>]) -> Vec<usize> {
@@ -198,50 +221,74 @@ impl SeqTagger {
 
     /// One training epoch; returns the mean per-timestep loss.
     ///
+    /// Each minibatch runs through both directions as SoA lanes; the
+    /// result is bit-identical to backpropagating one example at a time.
+    /// A full minibatch scales its head gradient by `batch` times the
+    /// length of its last example, a partial last minibatch by its
+    /// example count.
+    ///
     /// # Panics
     ///
     /// Panics if an example's `tags` length differs from its `xs` length.
     pub fn train_epoch(&mut self, examples: &[TaggedExample], batch: usize) -> f32 {
         let mut total = 0.0f32;
         let mut steps = 0usize;
-        let mut in_batch = 0usize;
-        let width = self.bilstm.output_dim();
-        // Per-timestep scratch, allocated once per epoch; the flat
-        // per-example gradient buffer is reused across examples too.
-        let mut features = vec![0.0f32; width];
+        let h = self.bilstm.output_dim() / 2;
+        // Lane and per-timestep buffers, allocated once per epoch.
+        let (mut fwd_trace, mut bwd_trace) = (LaneTrace::default(), LaneTrace::default());
+        let mut scratch = LaneGrads::default();
+        let (mut dh_fwd, mut dh_bwd) = (Vec::new(), Vec::new());
+        let mut features = vec![0.0f32; 2 * h];
         let mut logits = vec![0.0f32; self.head.output_dim()];
         let mut dlogits = vec![0.0f32; self.head.output_dim()];
-        let mut d_out = Vec::new();
-        for ex in examples {
-            assert_eq!(ex.xs.len(), ex.tags.len(), "tags must align with inputs");
-            let trace = self.bilstm.forward(&ex.xs);
-            d_out.clear();
-            d_out.resize(trace.len() * width, 0.0f32);
-            for t in 0..trace.len() {
-                trace.output_into(t, &mut features);
-                self.head.forward_into(&features, &mut logits);
-                total += softmax_cross_entropy_into(&logits, ex.tags[t], &mut dlogits);
-                steps += 1;
-                self.head.backward_into(
-                    &features,
-                    &dlogits,
-                    &mut d_out[t * width..(t + 1) * width],
-                );
+        let mut d_out = vec![0.0f32; 2 * h];
+        for chunk in minibatches(examples, batch) {
+            for ex in chunk {
+                assert_eq!(ex.xs.len(), ex.tags.len(), "tags must align with inputs");
             }
-            self.bilstm.backward_flat(&trace, &d_out);
-            in_batch += 1;
-            if in_batch == batch {
-                self.bilstm.apply_grads(batch);
-                self.head.apply_grads(batch * trace.len().max(1));
-                in_batch = 0;
+            let (fwd, bwd) = self.bilstm.layers_mut();
+            fwd.forward_lanes(&mut fwd_trace, chunk.len(), |e| &chunk[e].xs, false);
+            bwd.forward_lanes(&mut bwd_trace, chunk.len(), |e| &chunk[e].xs, true);
+            for dh in [&mut dh_fwd, &mut dh_bwd] {
+                dh.clear();
+                dh.resize(fwd_trace.lane_steps() * h, 0.0f32);
             }
-        }
-        if in_batch > 0 {
-            self.bilstm.apply_grads(in_batch);
-            self.head.apply_grads(in_batch);
+            for (e, ex) in chunk.iter().enumerate() {
+                let len = ex.xs.len();
+                for (t, &tag) in ex.tags.iter().enumerate() {
+                    let rt = len - 1 - t;
+                    fwd_trace.hidden_into(e, t, &mut features[..h]);
+                    bwd_trace.hidden_into(e, rt, &mut features[h..]);
+                    self.head.forward_into(&features, &mut logits);
+                    total += softmax_cross_entropy_into(&logits, tag, &mut dlogits);
+                    steps += 1;
+                    self.head.backward_into(&features, &dlogits, &mut d_out);
+                    fwd_trace.scatter(e, t, &d_out[..h], &mut dh_fwd);
+                    bwd_trace.scatter(e, rt, &d_out[h..], &mut dh_bwd);
+                }
+            }
+            fwd.backward_lanes(&fwd_trace, &dh_fwd, &mut scratch);
+            bwd.backward_lanes(&bwd_trace, &dh_bwd, &mut scratch);
+            self.bilstm.apply_grads(chunk.len());
+            let last_len = chunk.last().map_or(0, |ex| ex.xs.len());
+            self.head.apply_grads(if chunk.len() == batch {
+                batch * last_len.max(1)
+            } else {
+                chunk.len()
+            });
         }
         total / steps.max(1) as f32
     }
+}
+
+/// Splits `examples` into training minibatches of `batch` (the last one
+/// partial); a `batch` of 0 makes the whole set one minibatch.
+fn minibatches<T>(examples: &[T], batch: usize) -> std::slice::Chunks<'_, T> {
+    examples.chunks(if batch == 0 {
+        examples.len().max(1)
+    } else {
+        batch
+    })
 }
 
 #[cfg(test)]

@@ -17,6 +17,30 @@
 //! (SA)). Gradients are verified against finite differences in the test
 //! suite.
 //!
+//! # Lane-batched training
+//!
+//! [`SeqClassifier::train_epoch`] and [`SeqTagger::train_epoch`] run each
+//! minibatch through the LSTM as feature-major (SoA) lanes: lanes are
+//! sorted by length, so ragged sequences drop out of a packed prefix as
+//! they end, and each step is one [`Mat::matvec_bias_acc_soa`] call and
+//! one [`lstm_cell_soa`] pass. The forward pass caches `tanh(c_t)` for
+//! backpropagation, the backward recurrence runs lane-parallel, and the
+//! weight gradient is one ordered rank-k update per minibatch. Every
+//! weight, gradient and loss is **bit-identical** to backpropagating one
+//! example at a time:
+//!
+//! * the lane kernels keep the scalar kernels' per-lane operation order
+//!   and never mix lanes;
+//! * the weights are fixed within a minibatch, and each weight still
+//!   receives its gradient terms example by example, `t` descending;
+//! * where a scalar kernel skips an all-zero gradient row, a lane kernel
+//!   adds `±0.0` instead, which changes no accumulator that starts at
+//!   `+0.0` and is only added to (such a value is never `-0.0`).
+//!
+//! [`Lstm::forward`] and the `backward*` methods are the same engine at
+//! one lane. `tests/lane_parity.rs` checks all of this against the
+//! per-example trainer kept as a test-side oracle.
+//!
 //! # Example
 //!
 //! ```
@@ -39,6 +63,7 @@
 mod classifier;
 mod data;
 mod dense;
+mod lanes;
 mod loss;
 mod lstm;
 mod mat;
@@ -49,6 +74,7 @@ pub mod reference;
 pub use classifier::{SeqClassifier, SeqExample, SeqTagger, TaggedExample};
 pub use data::{average_pool, k_fold_indices, standardize, to_features, train_test_split};
 pub use dense::Dense;
+pub use lanes::lstm_cell_soa;
 pub use loss::{argmax, softmax, softmax_cross_entropy, softmax_cross_entropy_into, top_k};
 pub use lstm::{BiLstm, BiLstmTrace, Lstm, LstmTrace};
 pub use mat::Mat;

@@ -1,13 +1,10 @@
 //! LSTM and bidirectional LSTM layers with truncated-free full BPTT.
 
+use crate::lanes::{self, LaneGrads, LaneTrace};
 use crate::mat::Mat;
 use crate::optim::{Adam, AdamConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
 
 /// A single-layer LSTM.
 ///
@@ -15,6 +12,10 @@ fn sigmoid(x: f32) -> f32 {
 /// concatenated input `[x, h_prev, 1]` (the trailing 1 folds the bias in).
 /// The forget-gate bias is initialized to +1, the standard trick for
 /// stable early training.
+///
+/// Forward and backward passes run through the lane engine: training
+/// runs a whole minibatch as SoA lanes, and [`Lstm::forward`] and the
+/// `backward*` methods are its one-lane case.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lstm {
     input: usize,
@@ -25,20 +26,13 @@ pub struct Lstm {
     adam: Adam,
 }
 
-/// Cached activations of one forward pass (needed by BPTT).
-///
-/// All per-timestep state lives in flat stride-indexed buffers, so a
-/// forward pass performs a fixed number of allocations regardless of
-/// sequence length.
+/// Cached activations of one forward pass (needed by BPTT): a one-lane
+/// lane-engine trace, so all per-timestep state lives in flat buffers
+/// and a forward pass performs a fixed number of allocations regardless
+/// of sequence length.
 #[derive(Debug, Clone, Default)]
 pub struct LstmTrace {
-    xs: Vec<f32>,    // T × input
-    hs: Vec<f32>,    // (T+1) × hidden: h_0 .. h_T (h_0 = zeros)
-    cs: Vec<f32>,    // (T+1) × hidden: c_0 .. c_T
-    gates: Vec<f32>, // T × 4·hidden, per step [i, f, g, o] post-nonlinearity
-    input: usize,
-    hidden: usize,
-    steps: usize,
+    lanes: LaneTrace,
 }
 
 impl LstmTrace {
@@ -49,31 +43,20 @@ impl LstmTrace {
     /// Panics when `t` is out of range.
     #[must_use]
     pub fn hidden(&self, t: usize) -> &[f32] {
-        assert!(t < self.steps, "trace step out of range");
-        &self.hs[(t + 1) * self.hidden..(t + 2) * self.hidden]
+        self.lanes.hidden_one(t)
     }
 
     /// Number of timesteps traced.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.steps
+        self.lanes.steps()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.steps == 0
+        self.lanes.steps() == 0
     }
-}
-
-/// Where [`Lstm::backward_impl`] reads each timestep's output gradient.
-enum DhSrc<'a> {
-    /// One gradient vector per timestep.
-    PerStep(&'a [Vec<f32>]),
-    /// Flat `T × hidden` buffer.
-    Flat(&'a [f32]),
-    /// Gradient only at the final timestep (many-to-one heads).
-    LastOnly(&'a [f32]),
 }
 
 impl Lstm {
@@ -125,6 +108,13 @@ impl Lstm {
         &self.w
     }
 
+    /// The gradient accumulated since the last [`Lstm::apply_grads`], in
+    /// the layout of [`Lstm::weights`] (read-only, for parity tests).
+    #[must_use]
+    pub fn grads(&self) -> &Mat {
+        &self.grad
+    }
+
     /// Runs the layer over `xs`, returning the activation trace.
     ///
     /// # Panics
@@ -132,60 +122,37 @@ impl Lstm {
     /// Panics if any input vector has the wrong dimensionality.
     #[must_use]
     pub fn forward(&self, xs: &[Vec<f32>]) -> LstmTrace {
-        self.forward_iter(xs.iter().map(Vec::as_slice))
+        self.forward_one(xs, false)
     }
 
-    /// Forward pass over an iterator of timestep slices (lets the reverse
-    /// direction of [`BiLstm`] run without materializing a reversed copy).
-    fn forward_iter<'a, I>(&self, xs: I) -> LstmTrace
-    where
-        I: ExactSizeIterator<Item = &'a [f32]>,
-    {
-        let h = self.hidden;
-        let n = self.input;
-        let steps = xs.len();
-        let mut trace = LstmTrace {
-            xs: Vec::with_capacity(steps * n),
-            hs: vec![0.0f32; (steps + 1) * h],
-            cs: vec![0.0f32; (steps + 1) * h],
-            gates: vec![0.0f32; steps * 4 * h],
-            input: n,
-            hidden: h,
-            steps,
-        };
-        // Step-to-step scratch, allocated once for the whole sequence.
-        let mut concat = vec![0.0f32; n + h];
-        let mut pre = vec![0.0f32; 4 * h];
-        for (t, x) in xs.enumerate() {
-            assert_eq!(x.len(), n, "lstm input dimension");
-            trace.xs.extend_from_slice(x);
-            concat[..n].copy_from_slice(x);
-            concat[n..].copy_from_slice(&trace.hs[t * h..(t + 1) * h]);
-            pre.fill(0.0);
-            self.w.matvec_bias_acc(&concat, &mut pre);
-            // One fused pass computes all four gates, the new cell state
-            // and the new hidden state, writing straight into the flat
-            // trace buffers.
-            let gates = &mut trace.gates[t * 4 * h..(t + 1) * 4 * h];
-            let (cs_head, cs_tail) = trace.cs.split_at_mut((t + 1) * h);
-            let c_prev = &cs_head[t * h..];
-            let c_new = &mut cs_tail[..h];
-            let h_new = &mut trace.hs[(t + 1) * h..(t + 2) * h];
-            for j in 0..h {
-                let i_g = sigmoid(pre[j]);
-                let f_g = sigmoid(pre[h + j]);
-                let g_g = pre[2 * h + j].tanh();
-                let o_g = sigmoid(pre[3 * h + j]);
-                gates[j] = i_g;
-                gates[h + j] = f_g;
-                gates[2 * h + j] = g_g;
-                gates[3 * h + j] = o_g;
-                let cv = f_g * c_prev[j] + i_g * g_g;
-                c_new[j] = cv;
-                h_new[j] = o_g * cv.tanh();
-            }
-        }
+    /// One-lane forward pass, reading `xs` back to front with `reverse`.
+    fn forward_one(&self, xs: &[Vec<f32>], reverse: bool) -> LstmTrace {
+        let mut trace = LstmTrace::default();
+        self.forward_lanes(&mut trace.lanes, 1, |_| xs, reverse);
         trace
+    }
+
+    /// Runs the layer over a minibatch of `lanes` sequences at once
+    /// (`seq(e)` is example `e`'s), reusing `trace`'s buffers.
+    pub(crate) fn forward_lanes<'a>(
+        &self,
+        trace: &mut LaneTrace,
+        lanes: usize,
+        seq: impl Fn(usize) -> &'a [Vec<f32>],
+        reverse: bool,
+    ) {
+        trace.forward(&self.w, self.input, self.hidden, lanes, seq, reverse);
+    }
+
+    /// Backpropagates a minibatch traced by [`Lstm::forward_lanes`];
+    /// `dh` is laid out per step as [`LaneTrace::scatter`] writes it.
+    pub(crate) fn backward_lanes(
+        &mut self,
+        trace: &LaneTrace,
+        dh: &[f32],
+        scratch: &mut LaneGrads,
+    ) {
+        lanes::backward(trace, &self.w, &mut self.grad, dh, scratch);
     }
 
     /// Backpropagates through the traced sequence.
@@ -199,19 +166,25 @@ impl Lstm {
     /// Panics if `dh` does not match the trace length or hidden size.
     pub fn backward(&mut self, trace: &LstmTrace, dh: &[Vec<f32>]) {
         assert_eq!(dh.len(), trace.len(), "dh length");
-        self.backward_impl(trace, DhSrc::PerStep(dh));
+        for d in dh {
+            assert_eq!(d.len(), self.hidden, "dh dimension");
+        }
+        self.backward_flat(trace, &dh.concat());
     }
 
     /// Backpropagates a gradient applied only at the final hidden state —
-    /// the many-to-one classifier case — without materializing per-step
-    /// zero gradient vectors.
+    /// the many-to-one classifier case.
     ///
     /// # Panics
     ///
     /// Panics if `dh_last` does not match the hidden size.
     pub fn backward_last(&mut self, trace: &LstmTrace, dh_last: &[f32]) {
         assert_eq!(dh_last.len(), self.hidden, "dh dimension");
-        self.backward_impl(trace, DhSrc::LastOnly(dh_last));
+        let mut dh = vec![0.0f32; trace.len() * self.hidden];
+        if let Some(last) = dh.rchunks_exact_mut(self.hidden).next() {
+            last.copy_from_slice(dh_last);
+        }
+        self.backward_flat(trace, &dh);
     }
 
     /// Backpropagates per-timestep gradients given as one flat
@@ -222,55 +195,7 @@ impl Lstm {
     /// Panics if `dh` does not match the trace length times hidden size.
     pub fn backward_flat(&mut self, trace: &LstmTrace, dh: &[f32]) {
         assert_eq!(dh.len(), trace.len() * self.hidden, "dh length");
-        self.backward_impl(trace, DhSrc::Flat(dh));
-    }
-
-    fn backward_impl(&mut self, trace: &LstmTrace, src: DhSrc<'_>) {
-        let h = self.hidden;
-        let n = self.input;
-        assert_eq!(trace.input, n, "trace from a different layer shape");
-        assert_eq!(trace.hidden, h, "trace from a different layer shape");
-        let steps = trace.len();
-        // Scratch allocated once for the whole sequence.
-        let mut dh_next = vec![0.0f32; h];
-        let mut dc_next = vec![0.0f32; h];
-        let mut concat = vec![0.0f32; n + h];
-        let mut dpre = vec![0.0f32; 4 * h];
-        let mut dconcat = vec![0.0f32; n + h];
-        for t in (0..steps).rev() {
-            let dh_t: Option<&[f32]> = match src {
-                DhSrc::PerStep(v) => {
-                    assert_eq!(v[t].len(), h, "dh dimension");
-                    Some(&v[t])
-                }
-                DhSrc::Flat(d) => Some(&d[t * h..(t + 1) * h]),
-                DhSrc::LastOnly(d) => (t + 1 == steps).then_some(d),
-            };
-            let c = &trace.cs[(t + 1) * h..(t + 2) * h];
-            let c_prev = &trace.cs[t * h..(t + 1) * h];
-            let gates = &trace.gates[t * 4 * h..(t + 1) * 4 * h];
-            for j in 0..h {
-                let dh_total = dh_t.map_or(0.0, |d| d[j]) + dh_next[j];
-                let i_g = gates[j];
-                let f_g = gates[h + j];
-                let g_g = gates[2 * h + j];
-                let o_g = gates[3 * h + j];
-                let tc = c[j].tanh();
-                let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[j];
-                // Gate pre-activation gradients.
-                dpre[j] = dc * g_g * i_g * (1.0 - i_g);
-                dpre[h + j] = dc * c_prev[j] * f_g * (1.0 - f_g);
-                dpre[2 * h + j] = dc * i_g * (1.0 - g_g * g_g);
-                dpre[3 * h + j] = dh_total * tc * o_g * (1.0 - o_g);
-                dc_next[j] = dc * f_g;
-            }
-            concat[..n].copy_from_slice(&trace.xs[t * n..(t + 1) * n]);
-            concat[n..].copy_from_slice(&trace.hs[t * h..(t + 1) * h]);
-            self.grad.outer_acc_bias(&dpre, &concat, 1.0);
-            dconcat.fill(0.0);
-            self.w.matvec_t_narrow(&dpre, &mut dconcat);
-            dh_next.copy_from_slice(&dconcat[n..]);
-        }
+        self.backward_lanes(&trace.lanes, dh, &mut LaneGrads::default());
     }
 
     /// Applies accumulated gradients (scaled by `1/batch`) with Adam and
@@ -354,6 +279,19 @@ impl BiLstm {
         }
     }
 
+    /// The forward-direction layer (read-only).
+    #[must_use]
+    pub fn forward_lstm(&self) -> &Lstm {
+        &self.fwd
+    }
+
+    /// The reverse-direction layer, which reads each sequence back to
+    /// front (read-only).
+    #[must_use]
+    pub fn reverse_lstm(&self) -> &Lstm {
+        &self.bwd
+    }
+
     /// Output dimensionality (`2 × hidden`).
     #[must_use]
     pub fn output_dim(&self) -> usize {
@@ -364,8 +302,8 @@ impl BiLstm {
     #[must_use]
     pub fn forward(&self, xs: &[Vec<f32>]) -> BiLstmTrace {
         BiLstmTrace {
-            fwd: self.fwd.forward_iter(xs.iter().map(Vec::as_slice)),
-            bwd: self.bwd.forward_iter(xs.iter().rev().map(Vec::as_slice)),
+            fwd: self.fwd.forward_one(xs, false),
+            bwd: self.bwd.forward_one(xs, true),
             len: xs.len(),
         }
     }
@@ -378,18 +316,11 @@ impl BiLstm {
     /// Panics on dimension mismatch.
     pub fn backward(&mut self, trace: &BiLstmTrace, d_out: &[Vec<f32>]) {
         let h = self.fwd.hidden_dim();
-        let steps = trace.len();
-        assert_eq!(d_out.len(), steps, "d_out length");
-        let mut dh_fwd = vec![0.0f32; steps * h];
-        let mut dh_bwd = vec![0.0f32; steps * h];
-        for (t, d) in d_out.iter().enumerate() {
+        assert_eq!(d_out.len(), trace.len(), "d_out length");
+        for d in d_out {
             assert_eq!(d.len(), 2 * h, "d_out dimension");
-            dh_fwd[t * h..(t + 1) * h].copy_from_slice(&d[..h]);
-            let rt = steps - 1 - t;
-            dh_bwd[rt * h..(rt + 1) * h].copy_from_slice(&d[h..]);
         }
-        self.fwd.backward_flat(&trace.fwd, &dh_fwd);
-        self.bwd.backward_flat(&trace.bwd, &dh_bwd);
+        self.backward_flat(trace, &d_out.concat());
     }
 
     /// Like [`BiLstm::backward`] with the output gradients in one flat
@@ -411,6 +342,11 @@ impl BiLstm {
         }
         self.fwd.backward_flat(&trace.fwd, &dh_fwd);
         self.bwd.backward_flat(&trace.bwd, &dh_bwd);
+    }
+
+    /// The two directions, mutably (for the lane-engine trainer).
+    pub(crate) fn layers_mut(&mut self) -> (&mut Lstm, &mut Lstm) {
+        (&mut self.fwd, &mut self.bwd)
     }
 
     /// Applies accumulated gradients in both directions.

@@ -245,6 +245,13 @@ impl Mat {
     /// floating-point result does not depend on `lanes` or on which
     /// block of eight a lane lands in.
     ///
+    /// Lanes run in fixed blocks of eight through one loop body that
+    /// auto-vectorizes: each block's inputs are first gathered into
+    /// contiguous eight-lane rows, zero-padded past the last live lane of
+    /// a partial block, and only live lanes are stored. At one lane the
+    /// SoA layout is the plain vector layout, so the call is the scalar
+    /// kernel itself.
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch or when the matrix has no bias
@@ -258,47 +265,171 @@ impl Mat {
             self.rows * lanes,
             "matvec_bias_soa output length"
         );
-        if lanes == 0 {
-            return;
+        if lanes == 1 {
+            return self.matvec_bias_acc(xs, out);
         }
-        const LANE_BLOCK: usize = 8;
-        for (out_row, row) in out
-            .chunks_exact_mut(lanes)
-            .zip(self.data.chunks_exact(self.cols))
-        {
-            let (w, bias) = row.split_at(feat);
-            let mut lane0 = 0;
-            while lane0 < lanes {
-                let width = (lanes - lane0).min(LANE_BLOCK);
+        let chunked = feat - feat % 4;
+        let mut block = Vec::with_capacity(feat);
+        for lane0 in (0..lanes).step_by(LANE_BLOCK) {
+            let width = (lanes - lane0).min(LANE_BLOCK);
+            gather_lanes(xs, lanes, lane0, &mut block);
+            let (x_chunked, x_tail) = block.split_at(chunked);
+            for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+                let (w, bias) = row.split_at(feat);
                 let mut acc = [[0.0f32; LANE_BLOCK]; 4];
                 let mut tail = [0.0f32; LANE_BLOCK];
-                let chunks = w.chunks_exact(4);
-                let rem = chunks.remainder();
-                let mut f = 0;
-                for cw in chunks {
-                    for (a, &wv) in cw.iter().enumerate() {
-                        let base = (f + a) * lanes + lane0;
-                        let xrow = &xs[base..base + width];
-                        for (al, &xl) in acc[a][..width].iter_mut().zip(xrow) {
+                for (cw, xq) in w[..chunked].chunks_exact(4).zip(x_chunked.chunks_exact(4)) {
+                    for ((acc_a, &wv), xv) in acc.iter_mut().zip(cw).zip(xq) {
+                        for (al, xl) in acc_a.iter_mut().zip(xv) {
                             *al += wv * xl;
                         }
                     }
-                    f += 4;
                 }
-                for (a, &wv) in rem.iter().enumerate() {
-                    let base = (f + a) * lanes + lane0;
-                    let xrow = &xs[base..base + width];
-                    for (tl, &xl) in tail[..width].iter_mut().zip(xrow) {
+                for (&wv, xv) in w[chunked..].iter().zip(x_tail) {
+                    for (tl, xl) in tail.iter_mut().zip(xv) {
                         *tl += wv * xl;
                     }
                 }
-                for (l, o) in out_row[lane0..lane0 + width].iter_mut().enumerate() {
+                let out_block = &mut out[r * lanes + lane0..r * lanes + lane0 + width];
+                for (l, o) in out_block.iter_mut().enumerate() {
                     *o += (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]) + tail[l] + bias[0];
                 }
-                lane0 += width;
             }
         }
     }
+
+    /// Lane-batched backpropagation through a matvec, in the order of
+    /// [`Mat::matvec_t_narrow`]: `out[j * lanes + l] += Σ_k self[j][k] ·
+    /// g[k * lanes + l]`. `self` holds the *transpose* of the matrix to
+    /// backpropagate through (one row per output column), `g` its row
+    /// gradients row-major over lanes (`cols × lanes`) and `out` the
+    /// result feature-major (`rows × lanes`).
+    ///
+    /// Per lane the adds run in `matvec_t_narrow`'s order — gradient
+    /// rows in blocks of four, each block added as `g0·w0 + g1·w1 +
+    /// g2·w2 + g3·w3`, then the remainder one at a time — so each lane's
+    /// result is bit-identical to the scalar kernel's on that lane. The
+    /// scalar kernel skips all-zero blocks; adding their `±0` terms
+    /// instead changes no bit as long as `out` never holds `-0.0`, which
+    /// holds for any buffer that starts at `+0.0` and is only added to.
+    /// Lanes run in fixed blocks of eight, as in
+    /// [`Mat::matvec_bias_acc_soa`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub(crate) fn matvec_t_soa(&self, g: &[f32], lanes: usize, out: &mut [f32]) {
+        assert_eq!(g.len(), self.cols * lanes, "matvec_t_soa input length");
+        assert_eq!(out.len(), self.rows * lanes, "matvec_t_soa output length");
+        if lanes == 0 || self.cols == 0 {
+            return;
+        }
+        let blocked = self.cols - self.cols % 4;
+        let mut block = Vec::with_capacity(self.cols);
+        for lane0 in (0..lanes).step_by(LANE_BLOCK) {
+            let width = (lanes - lane0).min(LANE_BLOCK);
+            gather_lanes(g, lanes, lane0, &mut block);
+            let (g_blocked, g_rest) = block.split_at(blocked);
+            for (j, w) in self.data.chunks_exact(self.cols).enumerate() {
+                let out_lanes = &mut out[j * lanes + lane0..j * lanes + lane0 + width];
+                let mut acc = [0.0f32; LANE_BLOCK];
+                acc[..width].copy_from_slice(out_lanes);
+                for (gq, wq) in g_blocked.chunks_exact(4).zip(w.chunks_exact(4)) {
+                    let (w0, w1, w2, w3) = (wq[0], wq[1], wq[2], wq[3]);
+                    for (l, a) in acc.iter_mut().enumerate() {
+                        *a += gq[0][l] * w0 + gq[1][l] * w1 + gq[2][l] * w2 + gq[3][l] * w3;
+                    }
+                }
+                for (gr, &wr) in g_rest.iter().zip(&w[blocked..]) {
+                    for (a, gl) in acc.iter_mut().zip(gr) {
+                        *a += gl * wr;
+                    }
+                }
+                out_lanes.copy_from_slice(&acc[..width]);
+            }
+        }
+    }
+
+    /// Ordered rank-`k` update: `self[r][c] += Σ_s g_s[r] · x_s[c]` for
+    /// `s = 0..k`, where `g_s = g[s * g_stride..][..rows]` and `x_s =
+    /// x[s * x_stride..][..cols]`. Every element receives its `k` adds
+    /// in order `s = 0, 1, …`, each add being `+= g_s[r] * x_s[c]`, so
+    /// the result is bit-identical to `k` successive
+    /// [`Mat::outer_acc`] calls at scale 1 (whose zero-row skip adds
+    /// nothing a `-0.0`-free buffer would notice). A folded-in bias is a
+    /// column whose `x` entries are all 1.
+    ///
+    /// Each row is held in registers, [`OUTER_COLS`] columns at a time,
+    /// across all `k` terms, so the buffer is read and written once
+    /// instead of once per term. `x_stride` must be at least `cols`
+    /// rounded up to [`OUTER_COLS`]; what that padding holds never
+    /// reaches `self`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the strides or buffers are too short.
+    pub(crate) fn outer_acc_seq(
+        &mut self,
+        g: &[f32],
+        g_stride: usize,
+        x: &[f32],
+        x_stride: usize,
+        k: usize,
+    ) {
+        let cols = self.cols;
+        assert!(g_stride >= self.rows, "outer_acc_seq g stride");
+        assert!(
+            x_stride >= cols.next_multiple_of(OUTER_COLS),
+            "outer_acc_seq x stride"
+        );
+        assert!(g.len() >= k * g_stride, "outer_acc_seq g length");
+        assert!(x.len() >= k * x_stride, "outer_acc_seq x length");
+        if cols == 0 {
+            return;
+        }
+        for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
+            for c0 in (0..cols).step_by(OUTER_COLS) {
+                let width = (cols - c0).min(OUTER_COLS);
+                let mut acc = [0.0f32; OUTER_COLS];
+                acc[..width].copy_from_slice(&row[c0..c0 + width]);
+                for (g_s, x_s) in g
+                    .chunks_exact(g_stride)
+                    .zip(x.chunks_exact(x_stride))
+                    .take(k)
+                {
+                    let gr = g_s[r];
+                    let xv: &[f32; OUTER_COLS] = x_s[c0..c0 + OUTER_COLS]
+                        .try_into()
+                        .expect("padded column block");
+                    for (a, xc) in acc.iter_mut().zip(xv) {
+                        *a += gr * xc;
+                    }
+                }
+                row[c0..c0 + width].copy_from_slice(&acc[..width]);
+            }
+        }
+    }
+}
+
+/// Columns per register block of [`Mat::outer_acc_seq`]: one block covers
+/// a whole LSTM gate row at the paper's hidden size of 16.
+pub(crate) const OUTER_COLS: usize = 20;
+
+/// Lanes per block of the SoA kernels.
+const LANE_BLOCK: usize = 8;
+
+/// Gathers lanes `lane0..lane0 + LANE_BLOCK` of every row of the
+/// feature-major `src` (row stride `lanes`) into `block`, one fixed-width
+/// array per row, zero-padding lanes past the end of a partial last
+/// block.
+fn gather_lanes(src: &[f32], lanes: usize, lane0: usize, block: &mut Vec<[f32; LANE_BLOCK]>) {
+    let width = (lanes - lane0).min(LANE_BLOCK);
+    block.clear();
+    block.extend(src.chunks_exact(lanes).map(|row| {
+        let mut v = [0.0f32; LANE_BLOCK];
+        v[..width].copy_from_slice(&row[lane0..lane0 + width]);
+        v
+    }));
 }
 
 /// Dot product with four independent accumulators, so the multiplies are
@@ -482,6 +613,86 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The lane-batched transpose kernel, run on a transposed column
+    /// window, is bit-identical per lane to `matvec_t_narrow` on that
+    /// lane's gradient — including all-zero row blocks, which the scalar
+    /// kernel skips — at one lane, a partial block and many blocks.
+    #[test]
+    fn soa_transpose_is_bit_identical_per_lane() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        for (rows, cols, col0) in [(4, 3, 1), (8, 6, 2), (10, 5, 1), (48, 14, 1), (64, 19, 2)] {
+            let m = Mat::xavier(rows, cols, &mut rng);
+            let width = cols - 1 - col0;
+            let mut mt = Mat::zeros(width, rows);
+            for r in 0..rows {
+                for j in 0..width {
+                    *mt.get_mut(j, r) = m.get(r, col0 + j);
+                }
+            }
+            for lanes in [1usize, 4, 17, 64] {
+                let g: Vec<f32> = (0..rows * lanes)
+                    .map(|i| {
+                        let (r, l) = (i / lanes, i % lanes);
+                        if (r / 4 + l) % 3 == 0 {
+                            0.0
+                        } else {
+                            ((r * 13 + l * 5) as f32 * 0.17).sin()
+                        }
+                    })
+                    .collect();
+                let mut soa = vec![0.0f32; width * lanes];
+                mt.matvec_t_soa(&g, lanes, &mut soa);
+                for l in 0..lanes {
+                    let gl: Vec<f32> = (0..rows).map(|r| g[r * lanes + l]).collect();
+                    let mut scalar = vec![0.0f32; cols - 1];
+                    m.matvec_t_narrow(&gl, &mut scalar);
+                    for j in 0..width {
+                        let (got, want) = (soa[j * lanes + l], scalar[col0 + j]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "lane {l}/{lanes} col {j}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The ordered rank-k update equals `k` successive rank-1 updates bit
+    /// for bit, including rows of zeros that `outer_acc` skips, and adds
+    /// on top of what the buffer already holds.
+    #[test]
+    fn ordered_rank_k_matches_successive_rank_one_updates() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        for (rows, cols, k) in [
+            (1usize, 1usize, 1usize),
+            (3, 7, 5),
+            (48, 14, 40),
+            (64, 19, 33),
+            (8, 45, 9),
+        ] {
+            let g_stride = rows + 3;
+            let x_stride = cols.next_multiple_of(OUTER_COLS);
+            let g: Vec<f32> = (0..k * g_stride)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        0.0
+                    } else {
+                        (i as f32 * 0.31).sin()
+                    }
+                })
+                .collect();
+            let x: Vec<f32> = (0..k * x_stride).map(|i| (i as f32 * 0.23).cos()).collect();
+            let mut seq = Mat::xavier(rows, cols, &mut rng);
+            let mut steps = seq.clone();
+            seq.outer_acc_seq(&g, g_stride, &x, x_stride, k);
+            for s in 0..k {
+                let gs = &g[s * g_stride..s * g_stride + rows];
+                steps.outer_acc(gs, &x[s * x_stride..s * x_stride + cols], 1.0);
+            }
+            for (i, (a, b)) in seq.as_slice().iter().zip(steps.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{rows}x{cols} k {k} elem {i}");
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The cross-session batcher: SoA lockstep lanes with recycling.
 
-use crate::model::{advance_cells, StepModel};
+use crate::model::StepModel;
 use crate::session::Verdict;
 
 /// A generation-checked handle to one attached session.
@@ -60,6 +60,7 @@ pub struct SessionBatch {
     pre: Vec<f32>,
     cpack: Vec<f32>,
     hpack: Vec<f32>,
+    tcpack: Vec<f32>,
     active: Vec<usize>,
     logits: Vec<f32>,
     hlane: Vec<f32>,
@@ -92,6 +93,7 @@ impl SessionBatch {
             pre: vec![0.0; 4 * hidden * capacity],
             cpack: vec![0.0; hidden * capacity],
             hpack: vec![0.0; hidden * capacity],
+            tcpack: vec![0.0; hidden * capacity],
             active: Vec::with_capacity(capacity),
             logits: vec![0.0; model.classes()],
             hlane: vec![0.0; hidden],
@@ -198,19 +200,20 @@ impl SessionBatch {
                 self.cpack[f * m + k] = self.c[f * self.capacity + lane];
             }
         }
-        // One blocked kernel call for the whole batch, then the fused
-        // gate pass over all lanes.
+        // One blocked kernel call for the whole batch, then the shared
+        // cell update over all lanes.
         model.gate_pre_soa(
             &self.concat[..(self.input + self.hidden) * m],
             m,
             &mut self.pre[..4 * self.hidden * m],
         );
-        advance_cells(
-            &self.pre[..4 * self.hidden * m],
+        nnet::lstm_cell_soa(
             self.hidden,
             m,
+            &mut self.pre[..4 * self.hidden * m],
             &mut self.cpack[..self.hidden * m],
             &mut self.hpack[..self.hidden * m],
+            &mut self.tcpack[..self.hidden * m],
         );
         // Scatter the new state back to the lanes.
         for f in 0..self.hidden {

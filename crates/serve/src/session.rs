@@ -1,7 +1,7 @@
 //! A single streaming session: incremental timesteps in, one verdict
 //! out, bit-identical to the batch classifier on the same trace.
 
-use crate::model::{advance_cells, StepModel};
+use crate::model::StepModel;
 use serde::{Deserialize, Serialize};
 
 /// The engine's classification result for one finished session.
@@ -21,10 +21,10 @@ pub struct Verdict {
 ///
 /// The verdict is **bit-identical** to
 /// [`nnet::SeqClassifier::predict`] on the accumulated trace: each push
-/// replicates one iteration of the batch forward loop (same
-/// concatenation, same kernel per-lane order, same fused gate
-/// arithmetic), and the head + argmax run on the same final hidden
-/// state. The parity oracle test in `tests/parity.rs` pins this, the
+/// replicates one step of the batch forward pass (same concatenation,
+/// same kernel per-lane order, and the same cell update,
+/// `nnet::lstm_cell_soa`), and the head + argmax run on the same final
+/// hidden state. The parity oracle test in `tests/parity.rs` pins this, the
 /// same pattern as `NaiveFabric` and `nnet::reference`.
 #[derive(Debug, Clone)]
 pub struct StreamSession {
@@ -36,6 +36,7 @@ pub struct StreamSession {
     c: Vec<f32>,
     concat: Vec<f32>,
     pre: Vec<f32>,
+    tanh_c: Vec<f32>,
     logits: Vec<f32>,
 }
 
@@ -60,6 +61,7 @@ impl StreamSession {
             c: vec![0.0; hidden],
             concat: vec![0.0; input + hidden],
             pre: vec![0.0; 4 * hidden],
+            tanh_c: vec![0.0; hidden],
             logits: vec![0.0; model.classes()],
         }
     }
@@ -96,7 +98,14 @@ impl StreamSession {
         self.concat[..self.input].copy_from_slice(x);
         self.concat[self.input..].copy_from_slice(&self.h);
         model.gate_pre_soa(&self.concat, 1, &mut self.pre);
-        advance_cells(&self.pre, self.hidden, 1, &mut self.c, &mut self.h);
+        nnet::lstm_cell_soa(
+            self.hidden,
+            1,
+            &mut self.pre,
+            &mut self.c,
+            &mut self.h,
+            &mut self.tanh_c,
+        );
         self.seen += 1;
         if self.seen < self.expected {
             return None;

@@ -79,6 +79,11 @@ elif ! cmp -s target/serve.report.json tests/golden/serve.report.json; then
     exit 1
 fi
 
+echo "==> nnet lane-engine bit parity (release)"
+# Lane-batched training must stay bit-identical to per-example BPTT at
+# release optimization too, where the SoA kernels vectorize.
+cargo test -q --offline --release -p nnet --test lane_parity
+
 echo "==> segscope_trace example (release) + golden trace diff"
 SEGSCOPE_TRACE=target/keystroke.trace.json \
     cargo run --release --offline --example segscope_trace >/dev/null
@@ -92,6 +97,7 @@ echo "==> golden determinism gate (no SEGSCOPE_BLESS)"
 # Re-assert every checked-in golden byte-identical with blessing
 # explicitly disabled, so a blessed CI run can never mask drift.
 SEGSCOPE_BLESS=0 cargo test -q --offline --test golden_trace
+SEGSCOPE_BLESS=0 cargo test -q --offline --test golden_reports
 SEGSCOPE_BLESS=0 "$SEGSCOPE" run covert --seed 0xC07E --trials 2 --threads 2 \
     --report target/covert.report.determinism.json >/dev/null
 cmp target/covert.report.determinism.json tests/golden/covert.report.json
