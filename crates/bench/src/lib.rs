@@ -7,17 +7,16 @@
 //! ratios, crossovers) is expected to match the paper; the expected
 //! paper values are printed alongside for easy comparison.
 //!
+//! [`perf`] is the one perf harness behind the `bench_perf` target and
+//! `BENCH_perf.json`.
+//!
 //! Set `SEGSCOPE_BENCH_FULL=1` to run the larger (slower) experiment
 //! scales.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batched_report;
-pub mod campaign_report;
-pub mod hotpath_report;
-pub mod parallel_report;
-pub mod serve_report;
+pub mod perf;
 
 use std::fmt::Write as _;
 
@@ -26,23 +25,6 @@ use std::fmt::Write as _;
 #[must_use]
 pub fn full_scale() -> bool {
     std::env::var("SEGSCOPE_BENCH_FULL").is_ok_and(|v| v == "1")
-}
-
-/// One-line description of the measuring host for report notes: the
-/// CPU model (where the OS exposes `/proc/cpuinfo`) and the core count.
-#[must_use]
-pub fn host_summary() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|line| line.starts_with("model name"))
-                .and_then(|line| line.split_once(':'))
-                .map(|(_, model)| model.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown CPU".to_string());
-    format!("{cores}-core {model} host")
 }
 
 /// Prints a boxed section header.

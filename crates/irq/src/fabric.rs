@@ -99,7 +99,7 @@ impl SourceState {
 /// timer, PMI, resched) merged with the injected one-shot heap — so
 /// [`peek_next`](Self::peek_next) is O(1). The uncached scan survives as
 /// [`crate::naive::NaiveFabric`], the reference oracle the differential
-/// tests (and the `bench_hotpath` baseline arm) compare against.
+/// tests (and the `bench_perf` fabric arm's baseline) compare against.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct InterruptFabric {
     sources: Vec<SourceState>,

@@ -10,7 +10,7 @@
 //!    [`PendingInterrupt`] sequences *and* identical RNG positions (both
 //!    implementations share the fabric's private `draw_next`, so they consume
 //!    the same draws in the same order).
-//! 2. **Baseline arm** — `bench_hotpath` and `bench_batched` measure
+//! 2. **Baseline arm** — `bench_perf`'s fabric arm measures
 //!    delivered-interrupts/sec against it to guard the cached head.
 //!
 //! It is *not* part of the simulator hot path; `segsim`-level code uses

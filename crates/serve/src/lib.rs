@@ -18,7 +18,7 @@
 //!   loop, gated to within 1% of the `f32` model's accuracy.
 //!
 //! The trace-level drivers [`serve_batched`]/[`serve_sequential`] and
-//! the [`verdict_fnv`] identity back the `bench_serve` throughput gate
+//! the [`verdict_fnv`] identity back the `bench_perf` serve arms
 //! and the CI smoke.
 //!
 //! # Example

@@ -108,67 +108,6 @@ SEGSCOPE_BLESS=0 "$SEGSCOPE" serve-bench \
     --out target/serve.report.determinism.json >/dev/null
 cmp target/serve.report.determinism.json tests/golden/serve.report.json
 
-echo "==> bench_hotpath (quick) + BENCH_hotpath.json schema"
-# Absolute path: cargo bench runs the harness with the package dir as cwd.
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_hotpath.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_hotpath >/dev/null
-# The binary already enforces the hot-path invariants via validate();
-# here we check the emitted file carries the schema CI consumers read.
-for key in fabric probe scenario note naive_events_per_s \
-           fabric_events_per_s speedup alloc_reduction trials_per_s; do
-    if ! grep -q "\"$key\"" target/BENCH_hotpath.json; then
-        echo "target/BENCH_hotpath.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
-
-echo "==> bench_batched (quick) + BENCH_batched.json schema"
-# validate() inside the binary enforces the hard gates: recycled-machine
-# trials bit-identical to fresh ones, cached fabric >= 1.0x the naive
-# scan at 3 sources, recycled trials >= 2x (>= 5x when
-# SEGSCOPE_BENCH_FULL=1).
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_batched.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_batched >/dev/null
-for key in fabric trials full_scale note peeks_per_pop \
-           fabric_events_per_s fresh_trials_per_s recycled_trials_per_s \
-           slots_per_trial speedup identical; do
-    if ! grep -q "\"$key\"" target/BENCH_batched.json; then
-        echo "target/BENCH_batched.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
-
-echo "==> bench_campaign (quick) + BENCH_campaign.json schema"
-# validate() inside the binary enforces the hard gates: merged reports
-# bit-identical at shard counts 1/4/8 (>= 2x sharded speedup on
-# multi-core hosts).
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_campaign.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_campaign >/dev/null
-for key in spec cells trials_per_cell arms shards wall_s cells_per_s \
-           report_digest identical multi_core full_scale note; do
-    if ! grep -q "\"$key\"" target/BENCH_campaign.json; then
-        echo "target/BENCH_campaign.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
-
-echo "==> bench_serve (quick) + BENCH_serve.json schema"
-# validate() inside the binary enforces the hard gates: every batched
-# arm's verdict stream bit-identical (FNV-folded) to the sequential
-# baseline at capacities 1/8/64 on both precisions, quantized accuracy
-# within budget of the f64 model (>= 3x batched session throughput on
-# multi-core hosts).
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_serve.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_serve >/dev/null
-for key in sessions steps_per_session arms sequential quant precision \
-           capacity sessions_per_s speedup verdict_fnv scheme \
-           accuracy_delta eval_examples threads multi_core full_scale note; do
-    if ! grep -q "\"$key\"" target/BENCH_serve.json; then
-        echo "target/BENCH_serve.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
-
 echo "==> segscope campaign smoke: sweep, kill, resume, report"
 # A 2-scenario x 2-preset grid: run it whole, then kill a second copy
 # mid-run, resume it at a different shard count, and require the two
@@ -284,5 +223,27 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> bench_perf (quick) + BENCH_perf.json schema"
+# Last, so a failing perf gate cannot hide a correctness check. The
+# harness writes the report before it checks its identity checks and
+# gates, and exits non-zero if any failed; the schema is checked either
+# way, then that exit status stands. Absolute path: cargo bench runs
+# the harness with the package dir as cwd.
+perf_status=0
+SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_perf.json" \
+    cargo bench -q --offline -p segscope-bench --bench bench_perf >/dev/null \
+    || perf_status=$?
+for key in host cpu cores full_scale arms name unit work timings path threads \
+           wall_s per_s values identical identity gates cmp bar measured armed pass; do
+    if ! grep -q "\"$key\"" target/BENCH_perf.json; then
+        echo "target/BENCH_perf.json missing key \"$key\"" >&2
+        exit 1
+    fi
+done
+if [[ "$perf_status" -ne 0 ]]; then
+    echo "bench_perf failed a gate; see target/BENCH_perf.json" >&2
+    exit "$perf_status"
+fi
 
 echo "CI OK"
