@@ -504,7 +504,8 @@ impl Scenario for WebsiteScenario {
         let mut fold_rng =
             SmallRng::seed_from_u64(exec::derive_seed(config.seed, exec::AUX_STREAM));
         let folds = nnet::k_fold_indices(outputs.len(), config.folds, &mut fold_rng);
-        let fold_scores: Vec<(f64, f64)> = exec::parallel_map_auto(folds.len(), |f| {
+        let threads = exec::resolve_threads(None);
+        let fold_scores: Vec<(f64, f64)> = exec::parallel_map(folds.len(), threads, |f| {
             let (train_idx, test_idx) = &folds[f];
             let train: Vec<SeqExample> = train_idx.iter().map(|&i| outputs[i].clone()).collect();
             let test: Vec<SeqExample> = test_idx.iter().map(|&i| outputs[i].clone()).collect();

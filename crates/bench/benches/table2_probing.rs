@@ -43,8 +43,8 @@ fn main() {
     // --- SegScope: exact, threshold-free ---
     let mut cells = vec!["SegScope".to_owned()];
     for hz in [100.0, 250.0, 1000.0] {
-        let counts: Vec<f64> = exec::parallel_trials_auto(0x7AB2, reps, |_r, seed| {
-            let mut m = make_machine(hz, seed);
+        let counts: Vec<f64> = exec::parallel_map(reps, exec::resolve_threads(None), |r| {
+            let mut m = make_machine(hz, exec::derive_seed(0x7AB2, r as u64));
             let mut probe = SegProbe::new();
             probe
                 .probe_for(&mut m, duration)
@@ -59,8 +59,8 @@ fn main() {
     // --- Schwarz et al. (timestamp jumps, threshold 1000 cycles) ---
     let mut cells = vec!["Schwarz et al.".to_owned()];
     for hz in [100.0, 250.0, 1000.0] {
-        let counts: Vec<f64> = exec::parallel_trials_auto(0x7AB3, reps, |_r, seed| {
-            let mut m = make_machine(hz, seed);
+        let counts: Vec<f64> = exec::parallel_map(reps, exec::resolve_threads(None), |r| {
+            let mut m = make_machine(hz, exec::derive_seed(0x7AB3, r as u64));
             TsJumpProber::paper_default()
                 .probe_for(&mut m, duration)
                 .expect("rdtsc available") as f64
@@ -73,8 +73,8 @@ fn main() {
     // --- Lipp et al. (loop counting sampled every 5 ms) ---
     let mut cells = vec!["Lipp et al.".to_owned()];
     for hz in [100.0, 250.0, 1000.0] {
-        let counts: Vec<f64> = exec::parallel_trials_auto(0x7AB4, reps, |_r, seed| {
-            let mut m = make_machine(hz, seed);
+        let counts: Vec<f64> = exec::parallel_map(reps, exec::resolve_threads(None), |r| {
+            let mut m = make_machine(hz, exec::derive_seed(0x7AB4, r as u64));
             let mut prober = LoopCountProber::paper_default();
             prober.calibrate(&mut m, 200).expect("clock available");
             prober.probe_for(&mut m, duration).expect("clock available") as f64

@@ -87,7 +87,8 @@ impl fmt::Display for CampaignError {
             CampaignError::UnknownPreset(name) => {
                 write!(
                     f,
-                    "unknown machine preset `{name}` (see `segscope machines`)"
+                    "unknown machine preset `{name}` (choose from: {})",
+                    segsim::presets::NAMES.join(", ")
                 )
             }
             CampaignError::Params { scenario, message } => {
@@ -203,13 +204,32 @@ impl CampaignManifest {
         serde_json::to_string(self).expect("campaign manifests are serializable")
     }
 
-    /// Parses a manifest from JSON.
+    /// Parses a manifest from JSON and checks it is one
+    /// [`run_campaign`] could have persisted: every completed cell key
+    /// within the grid, holding exactly one result whose `index` is its
+    /// key.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Parse`] with the underlying message.
+    /// [`CampaignError::Parse`] with the underlying message, for bad
+    /// JSON and for a manifest that breaks those invariants.
     pub fn from_json(json: &str) -> Result<Self, CampaignError> {
-        serde_json::from_str(json).map_err(|e| CampaignError::Parse(e.to_string()))
+        let manifest: Self =
+            serde_json::from_str(json).map_err(|e| CampaignError::Parse(e.to_string()))?;
+        manifest
+            .cells
+            .validate(|index, cell: &CellResult| {
+                if cell.index == index {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "cell {index} holds the result of cell {}",
+                        cell.index
+                    ))
+                }
+            })
+            .map_err(|e| CampaignError::Parse(format!("damaged manifest: {e}")))?;
+        Ok(manifest)
     }
 }
 
@@ -493,10 +513,15 @@ mod tests {
         );
         let mut preset = small_spec();
         preset.presets[0] = "commodore64".to_owned();
+        let error = preset.expand(&registry).expect_err("unknown preset");
         assert_eq!(
-            preset.expand(&registry),
-            Err(CampaignError::UnknownPreset("commodore64".to_owned()))
+            error,
+            CampaignError::UnknownPreset("commodore64".to_owned())
         );
+        // The hint names real presets, not a command the CLI lacks.
+        let message = error.to_string();
+        assert!(message.contains("xiaomi_air13"), "{message}");
+        assert!(!message.contains("segscope machines"), "{message}");
         let mut params = small_spec();
         params.scenarios[0].params = Some(Value::Map(vec![(
             "spins".to_owned(),
@@ -637,6 +662,49 @@ mod tests {
                 total: 8
             })
         );
+    }
+
+    #[test]
+    fn damaged_manifests_are_rejected_on_load() {
+        let spec = small_spec();
+        let mut manifest = CampaignManifest::new(&spec);
+        let opts = CampaignOptions {
+            shards: 3,
+            threads: Some(1),
+            stop_after_waves: Some(1),
+        };
+        let first = run_campaign(&probe_registry(), &spec, &opts, &mut manifest, |_| {});
+        assert_eq!(first, Ok(None));
+        let json = manifest.to_json();
+        let intact = CampaignManifest::from_json(&json).expect("an intact manifest loads");
+        assert_eq!(intact.completed_cells(), 3);
+        // Completed cells serialize as `[cell, [result]]` pairs; cells
+        // 0..3 are complete out of 8.
+        let entries = "\"completed\":[";
+        let cell_1 = "[1,[{\"index\":1,";
+        assert!(json.contains(entries) && json.contains(cell_1), "{json}");
+        for (case, damaged) in [
+            (
+                "empty entry",
+                json.replacen(entries, "\"completed\":[[5,[]],", 1),
+            ),
+            (
+                "out-of-range key",
+                json.replacen(entries, "\"completed\":[[8,[]],", 1),
+            ),
+            (
+                "foreign index",
+                json.replacen(cell_1, "[1,[{\"index\":2,", 1),
+            ),
+        ] {
+            assert!(
+                matches!(
+                    CampaignManifest::from_json(&damaged),
+                    Err(CampaignError::Parse(ref m)) if m.contains("damaged manifest")
+                ),
+                "{case}"
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,15 @@
-//! Mid-run checkpointing for chunked trial fan-outs.
+//! Progress records for chunked trial fan-outs.
 //!
 //! A [`ChunkManifest`] records which trial chunks of a
 //! [`parallel_trial_chunks`](crate::parallel_trial_chunks)-style run have
-//! completed, together with their outputs. A killed run resumes by
-//! loading the manifest and calling [`resume_chunks`], which executes
-//! only the missing chunks; because every chunk's seeds derive from
-//! `(experiment_seed, trial_index)` alone, the assembled output vector
-//! is bit-identical to the uninterrupted run — at any thread count, and
-//! no matter how the work was split across kills.
-//!
-//! The manifest is plain serde data: persist it with
-//! [`ChunkManifest::to_json`] / [`ChunkManifest::from_json`] wherever
-//! the caller wants (the CLI writes it next to the report file). For
-//! kill-resilience *during* a resume, [`resume_chunks_with`] runs the
-//! missing chunks in bounded waves and hands the manifest to a persist
-//! callback after each wave.
+//! completed, together with their outputs, keyed by chunk index. Because
+//! every chunk's seeds derive from `(experiment_seed, trial_index)`
+//! alone, a run that records the missing chunks of a persisted manifest
+//! assembles outputs bit-identical to an uninterrupted run, no matter
+//! how the work was split across kills. The campaign layer's cell
+//! manifest is one of these over the cell axis.
 
-use crate::{derive_seed, parallel_map};
+use crate::derive_seed;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -42,24 +35,6 @@ impl<T> ChunkManifest<T> {
             chunk: chunk.max(1),
             completed: BTreeMap::new(),
         }
-    }
-
-    /// The experiment seed this run derives every trial seed from.
-    #[must_use]
-    pub fn experiment_seed(&self) -> u64 {
-        self.experiment_seed
-    }
-
-    /// Total number of trials in the run.
-    #[must_use]
-    pub fn trials(&self) -> usize {
-        self.trials
-    }
-
-    /// Chunk size (trials per unit of work).
-    #[must_use]
-    pub fn chunk(&self) -> usize {
-        self.chunk
     }
 
     /// Total number of chunks in the run.
@@ -89,8 +64,7 @@ impl<T> ChunkManifest<T> {
     }
 
     /// The trial-index range `[start, end)` of chunk `c`.
-    #[must_use]
-    pub fn chunk_range(&self, c: usize) -> (usize, usize) {
+    fn chunk_range(&self, c: usize) -> (usize, usize) {
         let start = c * self.chunk;
         (start, (start + self.chunk).min(self.trials))
     }
@@ -133,6 +107,42 @@ impl<T> ChunkManifest<T> {
             && self.chunk == chunk.max(1)
     }
 
+    /// Checks the invariants [`record_chunk`](Self::record_chunk)
+    /// enforces on a manifest that did not come through it (one parsed
+    /// from disk): a chunk size of at least 1, every completed chunk
+    /// index in range, and exactly one output per trial of its chunk.
+    /// `check` sees every recorded output with its trial index and
+    /// rejects one by returning a message.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found, as a message.
+    pub fn validate(&self, check: impl Fn(usize, &T) -> Result<(), String>) -> Result<(), String> {
+        if self.chunk == 0 {
+            return Err("chunk size is 0".to_owned());
+        }
+        for (&c, outputs) in &self.completed {
+            if c >= self.total_chunks() {
+                return Err(format!(
+                    "chunk {c} out of range (the run has {} chunks)",
+                    self.total_chunks()
+                ));
+            }
+            let (start, end) = self.chunk_range(c);
+            if outputs.len() != end - start {
+                return Err(format!(
+                    "chunk {c} holds {} outputs, not {}",
+                    outputs.len(),
+                    end - start
+                ));
+            }
+            for (k, output) in outputs.iter().enumerate() {
+                check(start + k, output)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Assembles the full output vector in trial order.
     ///
     /// # Panics
@@ -152,92 +162,6 @@ impl<T> ChunkManifest<T> {
     }
 }
 
-impl<T: Serialize> ChunkManifest<T> {
-    /// Serializes the manifest to JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("manifest outputs must be serializable")
-    }
-}
-
-impl<T: Deserialize> ChunkManifest<T> {
-    /// Parses a manifest from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse/shape error message.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-}
-
-/// Runs every missing chunk of `manifest` on `threads` workers and
-/// records the results.
-///
-/// After this returns, `manifest.into_outputs()` is bit-identical to
-/// what [`parallel_trial_chunks`](crate::parallel_trial_chunks) with the
-/// same geometry and task would have produced in one uninterrupted run.
-///
-/// # Panics
-///
-/// Panics if `task` returns a different number of outputs than seeds.
-pub fn resume_chunks<T, F>(manifest: &mut ChunkManifest<T>, threads: usize, task: F)
-where
-    T: Send,
-    F: Fn(usize, &[u64]) -> Vec<T> + Sync,
-{
-    resume_chunks_with(manifest, threads, usize::MAX, task, |_| {});
-}
-
-/// [`resume_chunks`] with bounded checkpoint waves: missing chunks run
-/// `wave` at a time (clamped to ≥ `threads` so workers stay busy), and
-/// `persist` sees the manifest after each wave — so a kill loses at most
-/// one wave of work.
-///
-/// # Panics
-///
-/// Panics if `task` returns a different number of outputs than seeds.
-pub fn resume_chunks_with<T, F, P>(
-    manifest: &mut ChunkManifest<T>,
-    threads: usize,
-    wave: usize,
-    task: F,
-    mut persist: P,
-) where
-    T: Send,
-    F: Fn(usize, &[u64]) -> Vec<T> + Sync,
-    P: FnMut(&ChunkManifest<T>),
-{
-    let missing = manifest.remaining_chunks();
-    if missing.is_empty() {
-        return;
-    }
-    let wave = wave.max(threads.max(1));
-    for batch in missing.chunks(wave) {
-        // Precompute each chunk's work description so the parallel
-        // closure does not borrow the manifest (whose outputs need not
-        // be `Sync`).
-        let work: Vec<(usize, Vec<u64>)> = batch
-            .iter()
-            .map(|&c| (manifest.chunk_range(c).0, manifest.chunk_seeds(c)))
-            .collect();
-        let ran = parallel_map(batch.len(), threads, |k| {
-            let (start, seeds) = &work[k];
-            let values = task(*start, seeds);
-            assert_eq!(
-                values.len(),
-                seeds.len(),
-                "chunk task must return one output per trial"
-            );
-            values
-        });
-        for (k, values) in ran.into_iter().enumerate() {
-            manifest.record_chunk(batch[k], values);
-        }
-        persist(manifest);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,58 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn uninterrupted_resume_matches_parallel_trial_chunks() {
-        let reference = parallel_trial_chunks(0x5EED, 103, 4, 8, task);
-        for threads in [1, 2, 8] {
-            let mut manifest = ChunkManifest::new(0x5EED, 103, 8);
-            resume_chunks(&mut manifest, threads, task);
-            assert!(manifest.is_complete());
-            assert_eq!(manifest.into_outputs(), reference, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn killed_run_resumes_to_identical_outputs() {
+    fn chunks_recorded_out_of_order_assemble_the_uninterrupted_outputs() {
         let reference = parallel_trial_chunks(0xDEAD, 50, 2, 7, task);
-        // "Kill" after three chunks: only 0, 2, 5 completed.
+        // A "killed" run completed chunks 0, 2 and 5; a resume records
+        // the rest.
         let mut manifest = ChunkManifest::new(0xDEAD, 50, 7);
         for c in [0usize, 2, 5] {
-            let (start, _) = manifest.chunk_range(c);
-            let seeds = manifest.chunk_seeds(c);
-            manifest.record_chunk(c, task(start, &seeds));
+            manifest.record_chunk(c, task(c * 7, &manifest.chunk_seeds(c)));
         }
-        // Round-trip through JSON, as a real kill/restart would.
-        let revived = ChunkManifest::from_json(&manifest.to_json()).unwrap();
-        assert!(revived.matches(0xDEAD, 50, 7));
-        assert!(!revived.matches(0xDEAD, 50, 8));
-        assert!(!revived.is_complete());
-        assert_eq!(revived.remaining_chunks(), vec![1, 3, 4, 6, 7]);
-        let mut revived = revived;
-        resume_chunks(&mut revived, 4, task);
-        assert_eq!(revived.into_outputs(), reference);
-    }
-
-    #[test]
-    fn waves_persist_incrementally() {
-        let mut manifest = ChunkManifest::new(0xA1, 64, 4); // 16 chunks
-        let mut seen = Vec::new();
-        resume_chunks_with(&mut manifest, 2, 4, task, |m| {
-            seen.push(m.completed_chunks());
-        });
-        assert_eq!(seen, vec![4, 8, 12, 16], "one persist per wave");
-        assert_eq!(
-            manifest.into_outputs(),
-            parallel_trial_chunks(0xA1, 64, 2, 4, task)
-        );
-    }
-
-    #[test]
-    fn resume_on_complete_manifest_is_a_no_op() {
-        let mut manifest = ChunkManifest::new(0xB2, 10, 10);
-        resume_chunks(&mut manifest, 2, task);
-        let before = manifest.clone();
-        resume_chunks(&mut manifest, 2, |_, _| panic!("nothing should run"));
-        assert_eq!(manifest, before);
+        assert!(manifest.matches(0xDEAD, 50, 7));
+        assert!(!manifest.matches(0xDEAD, 50, 8));
+        assert!(!manifest.is_complete());
+        assert_eq!(manifest.remaining_chunks(), vec![1, 3, 4, 6, 7]);
+        for c in manifest.remaining_chunks() {
+            manifest.record_chunk(c, task(c * 7, &manifest.chunk_seeds(c)));
+        }
+        assert_eq!(manifest.completed_chunks(), manifest.total_chunks());
+        assert_eq!(manifest.into_outputs(), reference);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`NaiveLstm`] is the straightforward implementation the optimized
 //! [`crate::Lstm`] replaced: naive scalar kernels, a `Vec<Vec<f32>>`
 //! activation trace, and fresh allocations every timestep. It is kept so
-//! the `perf_sim` benchmark can measure the optimization (old vs new
-//! epoch time) and so tests can cross-check the fast kernels against a
-//! simple oracle.
+//! the `lstm` arm of `bench_perf` can measure the optimization (old vs
+//! new epoch time) and so tests can cross-check the fast kernels against
+//! a simple oracle.
 //!
 //! Initialization draws the RNG in the same order as [`crate::Lstm::new`],
 //! so a `NaiveLstm` and an `Lstm` built from equally-seeded RNGs start

@@ -18,10 +18,9 @@
 //! The driver [`run_scenario`] supplies everything between: seed
 //! derivation via [`exec::derive_seed`], machine recycling (each worker
 //! thread resets one machine per trial instead of building a fresh one),
-//! the fault-plan override, trace sinks, and the deterministic fan-out —
-//! chunked [`exec::parallel_trial_chunks`] for untraced runs,
-//! [`exec::parallel_trials_traced`] for traced ones. The determinism
-//! contract is inherited wholesale:
+//! the fault-plan override, trace sinks, and the deterministic fan-out
+//! through [`exec::parallel_trial_chunks`], traced or not. The
+//! determinism contract is inherited wholesale:
 //!
 //! > **Bit-identical outputs, summaries, and merged traces at any
 //! > worker count.**
@@ -284,12 +283,9 @@ impl<T, U> ScenarioRun<T, U> {
 /// experiment seed, trial count, worker count, and chunk size are
 /// computed from `(scenario, config, opts)`.
 ///
-/// Every consumer of the geometry — the untraced arm of
-/// [`run_scenario`], [`checkpoint_manifest`], and
-/// [`run_scenario_checkpointed`] — resolves it through
-/// [`run_geometry`], so the layers cannot silently drift apart (a
-/// manifest cut for one geometry can never be resumed under another
-/// without [`exec::ChunkManifest::matches`] noticing).
+/// [`run_scenario`] and callers that fan a scenario's trials out
+/// themselves (benchmarks) resolve it through [`run_geometry`], so they
+/// cannot silently drift apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunGeometry {
     /// The resolved experiment seed every trial seed derives from.
@@ -298,29 +294,14 @@ pub struct RunGeometry {
     pub trials: usize,
     /// Worker threads the run fans out over.
     pub threads: usize,
-    /// Consecutive trials per unit of work (chunk) in the untraced
-    /// driver — the unit a checkpoint manifest records. Outputs are
-    /// chunk-size independent; the value only trades scheduling overhead
-    /// against load balance.
+    /// Consecutive trials per unit of work (chunk). Outputs and traces
+    /// are chunk-size independent; the value only trades scheduling
+    /// overhead against load balance.
     pub chunk: usize,
 }
 
-impl RunGeometry {
-    /// The empty [`exec::ChunkManifest`] of a run with this geometry.
-    #[must_use]
-    pub fn manifest<T>(&self) -> exec::ChunkManifest<T> {
-        exec::ChunkManifest::new(self.experiment_seed, self.trials, self.chunk)
-    }
-
-    /// Whether `manifest` belongs to a run with this geometry.
-    #[must_use]
-    pub fn matches<T>(&self, manifest: &exec::ChunkManifest<T>) -> bool {
-        manifest.matches(self.experiment_seed, self.trials, self.chunk)
-    }
-}
-
-/// Resolves the execution geometry [`run_scenario`] (untraced) and the
-/// checkpointed driver use for `(scenario, config, opts)`.
+/// Resolves the execution geometry [`run_scenario`] uses for
+/// `(scenario, config, opts)`.
 #[must_use]
 pub fn run_geometry<S: Scenario>(
     scenario: &S,
@@ -338,113 +319,60 @@ pub fn run_geometry<S: Scenario>(
     }
 }
 
-/// How many consecutive trials one worker claims per queue operation in
-/// the untraced (chunked) driver. Outputs are chunk-size independent;
-/// the value only trades scheduling overhead against load balance.
+/// How many consecutive trials one worker claims per queue operation.
+/// Outputs are chunk-size independent; the value only trades scheduling
+/// overhead against load balance.
 fn trial_chunk(trials: usize, threads: usize) -> usize {
     trials.div_ceil(threads.max(1) * 2).clamp(1, 32)
 }
 
 /// Runs `scenario` under `config` and `opts`: derives per-trial seeds,
-/// fans the trials out, runs each through [`run_recycled_trial`]
-/// (recycled machine, run-level fault-plan override, trace sink when
-/// `opts.capacity > 0`), and reduces the ordered outputs into the
-/// summary.
+/// fans the trials out in chunks, runs each through
+/// [`run_recycled_trial`] (recycled machine, run-level fault-plan
+/// override, trace sink when `opts.capacity > 0`), and reduces the
+/// ordered outputs into the summary.
 ///
-/// Bit-identical at any worker count; with tracing enabled the per-trial
-/// wiring matches the layout the attacks' hand-rolled `*_traced`
-/// functions used (machine ring of `capacity - 2` events inside the
-/// engine's `TrialStart`/`TrialEnd` brackets), so pre-refactor golden
-/// traces stay byte-identical.
+/// Bit-identical at any worker count. With tracing enabled each trial
+/// gets a private sink of `capacity` events, bracketed by `TrialStart`
+/// at 0 and `TrialEnd` at its last event's time, around the machine's
+/// ring of `capacity - 2` events; the trial sinks merge in trial order
+/// (track = trial index) into one sink of `capacity × trials` events —
+/// the layout the golden traces pin.
 pub fn run_scenario<S: Scenario>(
     scenario: &S,
     config: &S::Config,
     opts: &RunOptions,
 ) -> ScenarioRun<S::TrialOutput, S::Summary> {
-    let geometry = run_geometry(scenario, config, opts);
     let RunGeometry {
         experiment_seed: seed,
         trials,
         threads,
         chunk,
-    } = geometry;
-    let (ran, sink) = if opts.capacity == 0 {
-        let ran = exec::parallel_trial_chunks(seed, trials, threads, chunk, |start, seeds| {
-            untraced_chunk(scenario, config, seed, start, seeds, opts.fault_plan)
-        });
-        (ran, None)
-    } else {
-        // Leave room for the engine's TrialStart/TrialEnd brackets so a
-        // machine-full ring cannot overflow the task sink.
-        let machine_capacity = opts.capacity.saturating_sub(2).max(1);
-        let (ran, sink) = exec::parallel_trials_traced(
-            seed,
-            trials,
-            threads,
-            opts.capacity,
-            |index, trial_seed, task_sink| {
+    } = run_geometry(scenario, config, opts);
+    let ran = exec::parallel_trial_chunks(seed, trials, threads, chunk, |start, seeds| {
+        seeds
+            .iter()
+            .enumerate()
+            .map(|(k, &trial_seed)| {
                 let ctx = TrialCtx {
-                    index,
+                    index: start + k,
                     seed: trial_seed,
                     experiment_seed: seed,
                 };
-                let (output, stats, machine_sink) = run_recycled_trial(
-                    scenario,
-                    config,
-                    &ctx,
-                    opts.fault_plan,
-                    Some(obs::TraceSink::with_capacity(machine_capacity)),
-                );
-                task_sink.absorb(&machine_sink.expect("sink installed"), 0);
-                (output, stats)
-            },
-        );
-        (ran, Some(sink))
-    };
-    assemble_run(scenario, config, seed, trials, sink, ran)
-}
-
-/// Runs one untraced chunk of consecutive trials starting at index
-/// `start`: the unit of work of the plain and checkpointed drivers.
-fn untraced_chunk<S: Scenario>(
-    scenario: &S,
-    config: &S::Config,
-    experiment_seed: u64,
-    start: usize,
-    seeds: &[u64],
-    fault_override: Option<FaultPlan>,
-) -> Vec<(S::TrialOutput, TrialStats)> {
-    seeds
-        .iter()
-        .enumerate()
-        .map(|(k, &seed)| {
-            let ctx = TrialCtx {
-                index: start + k,
-                seed,
-                experiment_seed,
-            };
-            let (output, stats, _) =
-                run_recycled_trial(scenario, config, &ctx, fault_override, None);
-            (output, stats)
-        })
-        .collect()
-}
-
-/// Folds the ordered `(output, stats)` pairs into a [`ScenarioRun`]:
-/// the shared tail of the plain and checkpointed drivers.
-fn assemble_run<S: Scenario>(
-    scenario: &S,
-    config: &S::Config,
-    seed: u64,
-    trials: usize,
-    sink: Option<obs::TraceSink>,
-    ran: Vec<(S::TrialOutput, TrialStats)>,
-) -> ScenarioRun<S::TrialOutput, S::Summary> {
+                driver_trial(scenario, config, &ctx, opts)
+            })
+            .collect()
+    });
+    let mut sink = (opts.capacity > 0)
+        .then(|| obs::TraceSink::with_capacity(opts.capacity.saturating_mul(trials.max(1))));
     let mut outputs = Vec::with_capacity(ran.len());
     let mut gt_deliveries = Vec::with_capacity(ran.len());
     let mut totals = RunTotals::empty();
     let mut fault_log = FaultLog::empty();
-    for (output, stats) in ran {
+    for (i, (output, stats, trial_sink)) in ran.into_iter().enumerate() {
+        if let (Some(merged), Some(trial_sink)) = (sink.as_mut(), trial_sink) {
+            merged.absorb(&trial_sink, i as u32);
+        }
         outputs.push(output);
         gt_deliveries.push(stats.gt_deliveries);
         totals.merge(&RunTotals::from_trial(stats.gt_deliveries));
@@ -463,88 +391,34 @@ fn assemble_run<S: Scenario>(
     }
 }
 
-/// The empty [`exec::ChunkManifest`] a checkpointed run of `scenario`
-/// under `config` and `opts` starts from: same experiment seed, trial
-/// count, and chunk geometry as [`run_scenario`] would use.
-///
-/// Callers that resume from disk validate the loaded manifest against
-/// this one's geometry first:
-///
-/// ```ignore
-/// let fresh = checkpoint_manifest(&scenario, &config, &opts);
-/// let loaded = exec::ChunkManifest::from_json(&text)?;
-/// assert!(loaded.matches(fresh.experiment_seed(), fresh.trials(), fresh.chunk()));
-/// ```
-#[must_use]
-pub fn checkpoint_manifest<S: Scenario>(
+/// One trial of [`run_scenario`]: [`run_recycled_trial`], plus, when
+/// `opts.capacity > 0`, the trial's bracketed trace sink.
+fn driver_trial<S: Scenario>(
     scenario: &S,
     config: &S::Config,
+    ctx: &TrialCtx,
     opts: &RunOptions,
-) -> exec::ChunkManifest<(S::TrialOutput, TrialStats)> {
-    run_geometry(scenario, config, opts).manifest()
-}
-
-/// [`run_scenario`], resumable: runs only the chunks `manifest` has not
-/// completed, handing the manifest to `persist` after every wave of
-/// chunks, then assembles the same [`ScenarioRun`] an uninterrupted
-/// [`run_scenario`] with the same inputs produces — bit-identical
-/// outputs, totals, and summary, no matter where (or how often) the
-/// previous run was killed.
-///
-/// Checkpointing covers the untraced path only (`opts.capacity` must be
-/// 0): a merged trace is not resumable chunk-wise, and long
-/// multi-trial campaigns — the runs worth checkpointing — run untraced.
-///
-/// The manifest must come from [`checkpoint_manifest`] with the same
-/// `(scenario, config, opts)`, or from a persisted copy of one (see
-/// [`exec::ChunkManifest::matches`] for the loader-side check).
-///
-/// # Panics
-///
-/// Panics when `opts.capacity != 0` or when `manifest` does not match
-/// the run geometry `(scenario, config, opts)` resolves to.
-pub fn run_scenario_checkpointed<S>(
-    scenario: &S,
-    config: &S::Config,
-    opts: &RunOptions,
-    manifest: &mut exec::ChunkManifest<(S::TrialOutput, TrialStats)>,
-    persist: impl FnMut(&exec::ChunkManifest<(S::TrialOutput, TrialStats)>),
-) -> ScenarioRun<S::TrialOutput, S::Summary>
-where
-    S: Scenario,
-    S::TrialOutput: Clone,
-{
-    assert_eq!(opts.capacity, 0, "checkpointed runs are untraced");
-    let geometry = run_geometry(scenario, config, opts);
-    let RunGeometry {
-        experiment_seed: seed,
-        trials,
-        threads,
-        chunk,
-    } = geometry;
-    assert!(
-        geometry.matches(manifest),
-        "manifest (seed {:#x}, {} trials, chunk {}) does not belong to \
-         this run (seed {seed:#x}, {trials} trials, chunk {chunk})",
-        manifest.experiment_seed(),
-        manifest.trials(),
-        manifest.chunk(),
-    );
-    exec::resume_chunks_with(
-        manifest,
-        threads,
-        threads,
-        |start, seeds| untraced_chunk(scenario, config, seed, start, seeds, opts.fault_plan),
-        persist,
-    );
-    assemble_run(
+) -> (S::TrialOutput, TrialStats, Option<obs::TraceSink>) {
+    if opts.capacity == 0 {
+        return run_recycled_trial(scenario, config, ctx, opts.fault_plan, None);
+    }
+    let index = ctx.index as u64;
+    let mut sink = obs::TraceSink::with_capacity(opts.capacity);
+    sink.emit(0, obs::EventKind::TrialStart { index });
+    // Leave room for the TrialStart/TrialEnd brackets so a machine-full
+    // ring cannot overflow the trial sink.
+    let machine_capacity = opts.capacity.saturating_sub(2).max(1);
+    let (output, stats, machine_sink) = run_recycled_trial(
         scenario,
         config,
-        seed,
-        trials,
-        None,
-        manifest.clone().into_outputs(),
-    )
+        ctx,
+        opts.fault_plan,
+        Some(obs::TraceSink::with_capacity(machine_capacity)),
+    );
+    sink.absorb(&machine_sink.expect("sink installed"), 0);
+    let end_ps = sink.events().last().map_or(0, |e| e.at_ps);
+    sink.emit(end_ps, obs::EventKind::TrialEnd { index });
+    (output, stats, Some(sink))
 }
 
 /// A structured, JSON-able record of one driver run.
@@ -827,20 +701,56 @@ mod tests {
     #[test]
     fn traced_sinks_are_bit_identical_across_thread_counts() {
         let config = ProbeConfig { spins: 40_000_000 };
-        let run_at = |threads| {
-            run_scenario(
-                &Probe,
-                &config,
-                &RunOptions {
-                    threads: Some(threads),
-                    capacity: 1 << 12,
-                    ..RunOptions::default()
-                },
-            )
-        };
-        let reference = run_at(1).sink.expect("traced");
-        for threads in [2, 4] {
-            assert_eq!(run_at(threads).sink.expect("traced"), reference);
+        // Chunks of 2/1/1 trials at 1/2/4 threads for 3 trials, and of
+        // 19/10/5 for 37: the merged trace must not see the geometry.
+        for trials in [3usize, 37] {
+            let run_at = |threads| {
+                run_scenario(
+                    &Probe,
+                    &config,
+                    &RunOptions {
+                        trials: Some(trials),
+                        threads: Some(threads),
+                        capacity: 1 << 12,
+                        ..RunOptions::default()
+                    },
+                )
+            };
+            let reference = run_at(1).sink.expect("traced");
+            // Events are grouped by trial, tracks ascending, and every
+            // trial is bracketed by exactly one TrialStart/TrialEnd pair.
+            let events = reference.events();
+            assert!(
+                events.windows(2).all(|w| w[0].track <= w[1].track),
+                "{trials} trials"
+            );
+            for i in 0..trials {
+                let trial: Vec<_> = events.iter().filter(|e| e.track == i as u32).collect();
+                let starts = trial
+                    .iter()
+                    .filter(|e| matches!(e.kind, obs::EventKind::TrialStart { .. }))
+                    .count();
+                let ends = trial
+                    .iter()
+                    .filter(|e| matches!(e.kind, obs::EventKind::TrialEnd { .. }))
+                    .count();
+                assert_eq!((starts, ends), (1, 1), "trial {i} of {trials}");
+                assert_eq!(
+                    trial.first().map(|e| e.kind),
+                    Some(obs::EventKind::TrialStart { index: i as u64 })
+                );
+                assert_eq!(
+                    trial.last().map(|e| e.kind),
+                    Some(obs::EventKind::TrialEnd { index: i as u64 })
+                );
+            }
+            for threads in [2, 4] {
+                assert_eq!(
+                    run_at(threads).sink.expect("traced"),
+                    reference,
+                    "{trials} trials at {threads} threads"
+                );
+            }
         }
     }
 
@@ -956,66 +866,10 @@ mod tests {
         assert_eq!(nominal.trials, faulted.trials);
     }
 
-    #[test]
-    fn checkpointed_run_matches_run_scenario() {
-        let config = ProbeConfig { spins: 30_000_000 };
-        let opts = RunOptions {
-            trials: Some(12),
-            threads: Some(2),
-            ..RunOptions::default()
-        };
-        let reference = run_scenario(&Probe, &config, &opts);
-        let mut manifest = checkpoint_manifest(&Probe, &config, &opts);
-        let run = run_scenario_checkpointed(&Probe, &config, &opts, &mut manifest, |_| {});
-        assert!(manifest.is_complete());
-        assert_eq!(run, reference);
-    }
-
-    #[test]
-    fn killed_checkpointed_run_resumes_to_the_identical_report() {
-        let config = ProbeConfig { spins: 30_000_000 };
-        let opts = RunOptions {
-            trials: Some(12),
-            threads: Some(2),
-            ..RunOptions::default()
-        };
-        let reference = run_scenario(&Probe, &config, &opts);
-
-        // First life: run until the first persist, then "die" holding
-        // only what persist saw — exactly what a kill leaves on disk.
-        let mut first = checkpoint_manifest(&Probe, &config, &opts);
-        let mut saved: Option<String> = None;
-        let salvaged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scenario_checkpointed(&Probe, &config, &opts, &mut first, |m| {
-                if saved.is_none() {
-                    saved = Some(m.to_json());
-                    panic!("killed");
-                }
-            })
-        }));
-        assert!(salvaged.is_err(), "the kill must interrupt the run");
-        let saved = saved.expect("one wave persisted before the kill");
-
-        // Second life: load the persisted manifest, validate it against
-        // the run geometry, and resume.
-        let mut revived: exec::ChunkManifest<(u64, TrialStats)> =
-            exec::ChunkManifest::from_json(&saved).expect("parses");
-        let fresh = checkpoint_manifest(&Probe, &config, &opts);
-        assert!(revived.matches(fresh.experiment_seed(), fresh.trials(), fresh.chunk()));
-        assert!(!revived.is_complete(), "the kill left work behind");
-        let resumed = run_scenario_checkpointed(&Probe, &config, &opts, &mut revived, |_| {});
-        assert_eq!(resumed, reference);
-        assert_eq!(
-            serde_json::to_string(&resumed.summary).expect("serializable"),
-            serde_json::to_string(&reference.summary).expect("serializable"),
-        );
-    }
-
     /// The chunk geometry is resolved in exactly one place
-    /// ([`run_geometry`]), so the untraced driver, the fresh manifest,
-    /// and the checkpointed driver can never drift.
+    /// ([`run_geometry`]).
     #[test]
-    fn geometry_is_shared_by_driver_manifest_and_checkpointed_run() {
+    fn geometry_resolves_seed_trials_threads_and_chunk() {
         let config = ProbeConfig::default();
         for (trials, threads) in [(3usize, 1usize), (12, 2), (37, 4), (1, 8)] {
             let opts = RunOptions {
@@ -1028,11 +882,6 @@ mod tests {
             assert_eq!(geometry.trials, trials);
             assert_eq!(geometry.threads, threads);
             assert_eq!(geometry.chunk, trial_chunk(trials, threads));
-
-            // The fresh checkpoint manifest carries the same geometry.
-            let manifest = checkpoint_manifest(&Probe, &config, &opts);
-            assert!(geometry.matches(&manifest));
-            assert!(manifest.matches(geometry.experiment_seed, geometry.trials, geometry.chunk));
         }
     }
 
@@ -1056,18 +905,5 @@ mod tests {
             "a delivery storm over {} deliveries must log faults",
             faulted.total_gt_deliveries(),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not belong")]
-    fn checkpointed_run_rejects_a_foreign_manifest() {
-        let config = ProbeConfig { spins: 30_000_000 };
-        let opts = RunOptions {
-            trials: Some(12),
-            threads: Some(2),
-            ..RunOptions::default()
-        };
-        let mut manifest = exec::ChunkManifest::new(0xBAD, 99, 1);
-        let _ = run_scenario_checkpointed(&Probe, &config, &opts, &mut manifest, |_| {});
     }
 }

@@ -150,6 +150,33 @@ for key in name seed spec_digest cells totals fault_log matrix cell_results \
     fi
 done
 
+echo "==> segscope campaign: damaged manifests are typed errors"
+# A truncated manifest, and one with a completed entry for a cell past
+# the grid, must make resume and report fail with an `error:` line and
+# exit 1 — not load, and not panic (exit 101).
+for damage in truncated out_of_range; do
+    dir="target/ci-campaign-$damage"
+    rm -rf "$dir"
+    cp -r target/ci-campaign-killed "$dir"
+    if [[ "$damage" == truncated ]]; then
+        truncate -s 100 "$dir/manifest.json"
+    else
+        # Completed cells serialize as [cell, [result]] pairs.
+        sed -i 's/"completed":\[/"completed":[[99,[]],/' "$dir/manifest.json"
+        grep -q '"completed":\[\[99,' "$dir/manifest.json"
+    fi
+    for cmd in resume report; do
+        status=0
+        "$SEGSCOPE" campaign "$cmd" --out "$dir" >/dev/null 2>target/ci.damaged.err \
+            || status=$?
+        if [[ "$status" -ne 1 ]] || ! grep -q "^error: .*manifest.json" target/ci.damaged.err; then
+            echo "campaign $cmd on a $damage manifest exited $status:" >&2
+            cat target/ci.damaged.err >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> segscope campaign defense matrix: spec, run, report schema"
 # The enclave attack x defense matrix end to end at low trial count:
 # emit the spec via --defense-matrix, run it sharded, and require the
@@ -216,7 +243,7 @@ echo "==> cargo doc -D warnings"
 # gate covers every crate we write.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps \
     --exclude rand --exclude serde --exclude serde_derive \
-    --exclude serde_json --exclude proptest --exclude criterion >/dev/null
+    --exclude serde_json --exclude proptest >/dev/null
 
 echo "==> cargo clippy -D warnings"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
