@@ -1,11 +1,13 @@
-//! `segscope-bench` — shared reporting helpers for the per-table /
-//! per-figure reproduction harnesses in `benches/`.
+//! `segscope-bench` — the paper harness and the perf harness.
 //!
-//! Each bench target regenerates one table or figure of the paper's
-//! evaluation and prints it in a paper-comparable layout. Absolute
-//! numbers come from the simulator, so only the *shape* (orderings,
-//! ratios, crossovers) is expected to match the paper; the expected
-//! paper values are printed alongside for easy comparison.
+//! [`paper`] holds one entry per table and figure of the paper's
+//! evaluation, plus three extension studies. Each regenerates its
+//! artifact, prints it in a paper-comparable layout and asserts its
+//! shape. Absolute numbers come from the simulator, so only the *shape*
+//! (orderings, ratios, crossovers) is expected to match the paper; the
+//! expected paper values are printed alongside for easy comparison. The
+//! `paper` bench target runs the entries; `tests/paper_shapes.rs` in the
+//! root package runs them all at quick scale.
 //!
 //! [`perf`] is the one perf harness behind the `bench_perf` target and
 //! `BENCH_perf.json`.
@@ -16,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod paper;
 pub mod perf;
 
 use std::fmt::Write as _;

@@ -29,5 +29,5 @@ fn main() {
             result.top5_std * 100.0
         );
     }
-    println!("\n(use `cargo bench -p segscope-bench --bench table4_websites` for the full Table IV sweep)");
+    println!("\n(use `cargo bench -p segscope-bench --bench paper -- table4_websites` for the full Table IV sweep)");
 }

@@ -11,6 +11,9 @@ echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
 echo "==> cargo test"
+# Includes tests/paper_shapes.rs, which runs every entry of the `paper`
+# bench harness at quick scale and so asserts each table's and figure's
+# shape; the harness needs no step of its own.
 cargo test -q --offline --workspace
 
 echo "==> perfbench tests (the benchmark's use of the workspace API)"

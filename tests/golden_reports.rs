@@ -10,6 +10,11 @@
 //!   default config, seed and trial count, exactly as `segscope run
 //!   website` does. Their reports carry the trained models' accuracies,
 //!   so any change to `nnet`'s training arithmetic shows up here.
+//! * The other case studies are pinned the same way: the repetition
+//!   scenarios (`kaslr`, `spectre`, `circl`, `spectral`) at the enclave
+//!   studies' fixed seed and trial count, the structured ones (`procfp`,
+//!   `keystroke`) at their defaults, since their trial count follows
+//!   the config.
 //!
 //! Regenerate intentionally with:
 //!
@@ -22,9 +27,9 @@ use segscope_repro::scenario::RunOptions;
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// Fixed seed for the enclave golden runs.
+/// Fixed seed for the repetition-scenario golden runs.
 const GOLDEN_SEED: u64 = 0x601D;
-/// Trials per enclave golden run — small, but enough to exercise
+/// Trials per repetition-scenario golden run — small, but enough to exercise
 /// multi-trial seed derivation and the summary reductions.
 const GOLDEN_TRIALS: usize = 3;
 
@@ -83,4 +88,34 @@ fn golden_website_report() {
 #[test]
 fn golden_dnnsteal_report() {
     check_golden_report("dnnsteal", &RunOptions::default());
+}
+
+#[test]
+fn golden_kaslr_report() {
+    check_golden_report("kaslr", &enclave_opts());
+}
+
+#[test]
+fn golden_spectre_report() {
+    check_golden_report("spectre", &enclave_opts());
+}
+
+#[test]
+fn golden_circl_report() {
+    check_golden_report("circl", &enclave_opts());
+}
+
+#[test]
+fn golden_spectral_report() {
+    check_golden_report("spectral", &enclave_opts());
+}
+
+#[test]
+fn golden_procfp_report() {
+    check_golden_report("procfp", &RunOptions::default());
+}
+
+#[test]
+fn golden_keystroke_report() {
+    check_golden_report("keystroke", &RunOptions::default());
 }
