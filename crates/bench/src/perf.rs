@@ -16,7 +16,8 @@
 //! | `recycled` | fresh vs recycled machine per trial | ≥2x quick, ≥5x full |
 //! | `probe` | `probe_n` vs `probe_n_into` | fewer allocations |
 //! | `kaslr_engine` | 1 thread vs all threads | identity only |
-//! | `lstm` | naive vs optimized epoch | >1.0x |
+//! | `lstm` | per-example vs minibatch training epochs, same weights | >1.0x |
+//! | `math` | libm vs `nnet::math` LSTM cell update, same bits | >1.0x |
 //! | `campaign` | 1, 4, 8 shards | ≥2x on multi-core |
 //! | `serve.f64`, `serve.i16` | sequential vs batched ×1/×8/×64 | f64 ≥3x on multi-core |
 //! | `quant.i8`, `quant.i16` | accuracy vs the f64 model | Δ≤0.05, Δ≤0.01 |
@@ -26,8 +27,8 @@
 
 use campaign::{CampaignManifest, CampaignOptions, CampaignSpec, FaultVariant, ScenarioSel};
 use irq::{InterruptFabric, InterruptKind, NaiveFabric};
-use nnet::reference::NaiveLstm;
-use nnet::{AdamConfig, Lstm, SeqClassifier, SeqExample};
+use nnet::reference::{self, NaiveClassifier};
+use nnet::{AdamConfig, Mat, SeqClassifier, SeqExample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use segscope::SegProbe;
@@ -60,8 +61,11 @@ pub const RECYCLED_MIN_SPEEDUP: f64 = 2.0;
 /// per-trial work is long enough to amortize timing noise.
 pub const RECYCLED_FULL_MIN_SPEEDUP: f64 = 5.0;
 
-/// The optimized LSTM epoch must beat the naive reference (strictly).
+/// Minibatch training must beat the per-example reference (strictly).
 pub const LSTM_MIN_SPEEDUP: f64 = 1.0;
+
+/// The `nnet::math` cell update must beat the libm one (strictly).
+pub const MATH_MIN_SPEEDUP: f64 = 1.0;
 
 /// Minimum 8-shard-vs-serial campaign sweep speedup, armed on
 /// multi-core hosts only.
@@ -279,7 +283,14 @@ pub fn gates(host: &Host, arms: &[Arm]) -> Vec<Gate> {
                     "speedup",
                     ">",
                     LSTM_MIN_SPEEDUP,
-                    arm.speedup("naive", "optimized"),
+                    arm.speedup("per_example", "minibatch"),
+                    true,
+                ),
+                "math" => (
+                    "speedup",
+                    ">",
+                    MATH_MIN_SPEEDUP,
+                    arm.speedup("libm", "math"),
                     true,
                 ),
                 "campaign" => (
@@ -635,47 +646,108 @@ pub fn measure_engine(trials: usize, repeats: usize) -> Arm {
         .identical(serial == parallel)
 }
 
-/// The LSTM arm: `epochs` single-example training steps (64 steps × 8
-/// inputs → 32 hidden, loss on the last step) on the naive reference
-/// against the optimized one-lane kernels.
+/// The LSTM arm: `epochs` training epochs of a website-sized
+/// classifier (24 sequences of 8 inputs, ragged lengths 40–63, hidden
+/// 32, 8 classes, minibatch 8) through the lane-batched
+/// [`SeqClassifier::train_epoch`] and through the per-example
+/// [`NaiveClassifier`] from the same initial weights. Identical when the
+/// trained weights are bit-identical.
 #[must_use]
 pub fn measure_lstm(epochs: usize, repeats: usize) -> Arm {
-    let (steps, input, hidden) = (64usize, 8usize, 32usize);
-    let xs: Vec<Vec<f32>> = (0..steps)
-        .map(|t| {
-            (0..input)
-                .map(|k| ((t * input + k) as f32 * 0.13).sin())
-                .collect()
+    let (input, hidden, classes, batch) = (8usize, 32usize, 8usize, 8usize);
+    let examples: Vec<SeqExample> = (0..24)
+        .map(|e| SeqExample {
+            xs: (0..40 + (e * 7) % 24)
+                .map(|t| {
+                    (0..input)
+                        .map(|k| ((e * 131 + t * input + k) as f32 * 0.13).sin())
+                        .collect()
+                })
+                .collect(),
+            label: e % classes,
         })
         .collect();
-    let dh_last = vec![1.0f32; hidden];
-    let mut dh = vec![vec![0.0f32; hidden]; steps];
-    dh[steps - 1] = dh_last.clone();
-
-    let mut rng = SmallRng::seed_from_u64(0xB3CC_0002);
-    let mut naive = NaiveLstm::new(input, hidden, &mut rng, AdamConfig::default());
-    let (naive_s, ()) = best_of(repeats, || {
+    let seed = 0xB3CC_0002;
+    let adam = AdamConfig::default();
+    let naive = NaiveClassifier::new(
+        input,
+        hidden,
+        classes,
+        &mut SmallRng::seed_from_u64(seed),
+        adam,
+    );
+    let (naive_s, naive) = best_of(repeats, || {
+        let mut model = naive.clone();
         for _ in 0..epochs {
-            let trace = naive.forward(&xs);
-            naive.backward(&trace, &dh);
-            naive.apply_grads(1);
+            model.train_epoch(&examples, batch);
         }
+        model
     });
-    let mut rng = SmallRng::seed_from_u64(0xB3CC_0002);
-    let mut fast = Lstm::new(input, hidden, &mut rng, AdamConfig::default());
-    let (fast_s, ()) = best_of(repeats, || {
+    let fast = SeqClassifier::new(
+        input,
+        hidden,
+        classes,
+        &mut SmallRng::seed_from_u64(seed),
+        adam,
+    );
+    let (fast_s, fast) = best_of(repeats, || {
+        let mut model = fast.clone();
         for _ in 0..epochs {
-            let trace = fast.forward(&xs);
-            fast.backward_last(&trace, &dh_last);
-            fast.apply_grads(1);
+            model.train_epoch(&examples, batch);
         }
+        model
     });
+    let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let identical = bits(naive.lstm().weights()) == bits(fast.lstm().weights())
+        && bits(naive.head().weights()) == bits(fast.head().weights());
     Arm::new("lstm", "epochs", epochs)
-        .timed("naive", 1, naive_s)
-        .timed("optimized", 1, fast_s)
-        .value("steps", steps as f64)
-        .value("input", input as f64)
+        .timed("per_example", 1, naive_s)
+        .timed("minibatch", 1, fast_s)
+        .value("examples", examples.len() as f64)
+        .value("batch", batch as f64)
         .value("hidden", hidden as f64)
+        .identical(identical)
+}
+
+/// The math arm: `rounds` LSTM cell updates over one fixed block of
+/// 32 hidden × 64 lanes of gate pre-activations (spread over ±8, so
+/// `tanh` takes both its `|x| < 1` and `|x| ≥ 1` paths), through the libm
+/// [`reference::lstm_cell`] and the production [`nnet::lstm_cell_soa`].
+/// Identical when every gate activation, cell and hidden state of the
+/// last round agree bit for bit.
+#[must_use]
+pub fn measure_math(rounds: usize, repeats: usize) -> Arm {
+    let n = 32 * 64;
+    let pre: Vec<f32> = (0..4 * n)
+        .map(|i| ((i as f32 * 0.618_034).fract() - 0.5) * 16.0)
+        .collect();
+    let c0: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+    let (mut gates, mut c, mut h, mut tanh_c) =
+        (pre.clone(), c0.clone(), vec![0.0; n], vec![0.0; n]);
+    let (libm_s, ()) = best_of(repeats, || {
+        for _ in 0..rounds {
+            gates.copy_from_slice(&pre);
+            c.copy_from_slice(&c0);
+            reference::lstm_cell(&mut gates, &mut c, &mut h);
+        }
+    });
+    let want = [gates.clone(), c.clone(), h.clone()];
+    let (math_s, ()) = best_of(repeats, || {
+        for _ in 0..rounds {
+            gates.copy_from_slice(&pre);
+            c.copy_from_slice(&c0);
+            nnet::lstm_cell_soa(32, 64, &mut gates, &mut c, &mut h, &mut tanh_c);
+        }
+    });
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let identical = want
+        .iter()
+        .zip([&gates, &c, &h])
+        .all(|(w, g)| bits(w) == bits(g));
+    Arm::new("math", "elements", rounds * n)
+        .timed("libm", 1, libm_s)
+        .timed("math", 1, math_s)
+        .identical(identical)
 }
 
 /// The campaign bench grid: four fast scenarios × two Table I presets
@@ -894,7 +966,8 @@ pub fn measure_all(host: &Host, heap: fn() -> (u64, u64)) -> BenchReport {
         measure_recycled(pick(256, 2_000), 32, repeats, 0xBA7C_0020),
         measure_probe(1_000, pick(200, 2_000), repeats, heap),
         measure_engine(pick(8, 32), repeats),
-        measure_lstm(pick(100, 400), repeats),
+        measure_lstm(pick(4, 16), repeats),
+        measure_math(pick(100, 1_000), repeats),
         measure_campaign(&bench_spec(full), repeats),
     ];
 
@@ -955,7 +1028,8 @@ mod tests {
                 .value("probe_n_into.allocs", 21.0)
                 .identical(true),
             two("kaslr_engine", "serial", "parallel", 4, 1.9).identical(true),
-            two("lstm", "naive", "optimized", 1, 1.25),
+            two("lstm", "per_example", "minibatch", 1, 1.25).identical(true),
+            two("math", "libm", "math", 1, 2.0).identical(true),
             Arm::new("campaign", "cells", 16)
                 .timed("shards1", 1, 8.0)
                 .timed("shards4", 4, 2.5)
@@ -987,14 +1061,14 @@ mod tests {
             .is_ok());
         assert_eq!(
             BenchReport::new(host(4, false), good_arms()).gates.len(),
-            8,
+            9,
             "one gate per gated arm"
         );
 
         type Mutation = fn(&mut Vec<Arm>);
         // (case, host cores, full scale, mutation, failing gate or arm,
         // whether validate must reject)
-        let cases: [(&str, usize, bool, Mutation, &str, bool); 12] = [
+        let cases: [(&str, usize, bool, Mutation, &str, bool); 13] = [
             (
                 "identity divergence",
                 4,
@@ -1023,8 +1097,16 @@ mod tests {
                 "lstm at parity is not faster",
                 4,
                 false,
-                |a| set_wall(a, "lstm", "optimized", 1.0),
+                |a| set_wall(a, "lstm", "minibatch", 1.0),
                 "lstm.speedup",
+                true,
+            ),
+            (
+                "math at parity is not faster",
+                4,
+                false,
+                |a| set_wall(a, "math", "math", 1.0),
+                "math.speedup",
                 true,
             ),
             (

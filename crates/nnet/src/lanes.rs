@@ -38,11 +38,7 @@
 //!   trainer kept on the test side.
 
 use crate::mat::{Mat, OUTER_COLS};
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
+use crate::math::{exp_lanes, tanh_lanes, LANES};
 
 /// One LSTM cell update for `lanes` lanes in SoA layout — the single
 /// cell step shared by training ([`crate::Lstm`]) and streaming
@@ -53,9 +49,12 @@ fn sigmoid(x: f32) -> f32 {
 /// overwritten with the gate activations. `c` (`hidden × lanes`,
 /// feature-major) holds the previous cell state on entry and the new one
 /// on exit; `h` receives the new hidden state and `tanh_c` the
-/// `tanh(c_t)` that produced it. Per lane the arithmetic is the scalar
-/// cell's: `σ` on `i, f, o`, `tanh` on `g`, `c = f·c_prev + i·g`,
-/// `h = o·tanh(c)`.
+/// `tanh(c_t)` that produced it. Per element the arithmetic is the scalar
+/// cell's: `σ(x) = 1 / (1 + exp(-x))` on `i, f, o`, `tanh` on `g`,
+/// `c = f·c_prev + i·g`, `h = o·tanh(c)`, with `exp` and `tanh` from
+/// [`crate::math`]. The update is elementwise, so it runs over the
+/// `hidden × lanes` elements in blocks of [`LANES`], the last one
+/// zero-padded; no element's result depends on its block.
 ///
 /// # Panics
 ///
@@ -76,19 +75,44 @@ pub fn lstm_cell_soa(
     let (i_rows, rest) = gates.split_at_mut(n);
     let (f_rows, rest) = rest.split_at_mut(n);
     let (g_rows, o_rows) = rest.split_at_mut(n);
-    let gate_cols = i_rows.iter_mut().zip(f_rows).zip(g_rows).zip(o_rows);
-    let state = c.iter_mut().zip(h.iter_mut()).zip(tanh_c.iter_mut());
-    for ((((i, f), g), o), ((cl, hl), tl)) in gate_cols.zip(state) {
-        let i_g = sigmoid(*i);
-        let f_g = sigmoid(*f);
-        let g_g = g.tanh();
-        let o_g = sigmoid(*o);
-        (*i, *f, *g, *o) = (i_g, f_g, g_g, o_g);
-        let cv = f_g * *cl + i_g * g_g;
-        let tc = cv.tanh();
-        *cl = cv;
-        *tl = tc;
-        *hl = o_g * tc;
+    let mut rows = [i_rows, f_rows, g_rows, o_rows, c, h, tanh_c];
+    let full = n - n % LANES;
+    for start in (0..full).step_by(LANES) {
+        cell_block(rows.each_mut().map(|row| {
+            <&mut [f32; LANES]>::try_from(&mut row[start..start + LANES]).expect("full block")
+        }));
+    }
+    if full < n {
+        let mut pad = [[0.0f32; LANES]; 7];
+        for (p, row) in pad.iter_mut().zip(&rows) {
+            p[..n - full].copy_from_slice(&row[full..]);
+        }
+        cell_block(pad.each_mut());
+        for (p, row) in pad.iter().zip(&mut rows) {
+            row[full..].copy_from_slice(&p[..n - full]);
+        }
+    }
+}
+
+/// [`lstm_cell_soa`] on one block of [`LANES`] elements, in place:
+/// the `i, f, g, o` rows, then `c`, `h` and `tanh_c`.
+#[inline]
+fn cell_block([i, f, g, o, c, h, tanh_c]: [&mut [f32; LANES]; 7]) {
+    let mut e = [0.0f32; LANES];
+    for gate in [&mut *i, &mut *f, &mut *o] {
+        exp_lanes(&gate.map(|x| -x), &mut e);
+        for (v, e) in gate.iter_mut().zip(e) {
+            *v = 1.0 / (1.0 + e);
+        }
+    }
+    let pre = *g;
+    tanh_lanes(&pre, g);
+    for l in 0..LANES {
+        c[l] = f[l] * c[l] + i[l] * g[l];
+    }
+    tanh_lanes(c, tanh_c);
+    for l in 0..LANES {
+        h[l] = o[l] * tanh_c[l];
     }
 }
 

@@ -41,6 +41,11 @@
 //! one lane. `tests/lane_parity.rs` checks all of this against the
 //! per-example trainer kept as a test-side oracle.
 //!
+//! The cell's `exp` and `tanh` come from [`math`]: branch-free ports of
+//! glibc's `expf` and `tanhf` over 8-lane blocks that return libm's bits
+//! for every `f32` input, so the cell vectorises without moving a bit.
+//! [`reference`](mod@reference) keeps libm as the independent oracle.
+//!
 //! # Example
 //!
 //! ```
@@ -67,6 +72,7 @@ mod lanes;
 mod loss;
 mod lstm;
 mod mat;
+pub mod math;
 mod metrics;
 mod optim;
 pub mod reference;

@@ -1,5 +1,7 @@
 //! Softmax cross-entropy.
 
+use crate::math;
+
 /// Numerically-stable softmax.
 ///
 /// ```
@@ -9,9 +11,12 @@
 #[must_use]
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let mut p: Vec<f32> = logits.iter().map(|&l| math::exp(l - max)).collect();
+    let sum: f32 = p.iter().sum();
+    for v in &mut p {
+        *v /= sum;
+    }
+    p
 }
 
 /// Cross-entropy loss of a softmax distribution against a class index,
@@ -39,7 +44,7 @@ pub fn softmax_cross_entropy_into(logits: &[f32], target: usize, grad: &mut [f32
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
     for (g, &l) in grad.iter_mut().zip(logits) {
-        let e = (l - max).exp();
+        let e = math::exp(l - max);
         *g = e;
         sum += e;
     }

@@ -1,57 +1,55 @@
-//! Unoptimized reference implementation of the LSTM hot path.
+//! The per-example reference trainer: the independent oracle for the
+//! lane engine and the baseline of `bench_perf`'s `lstm` and `math` arms.
 //!
-//! [`NaiveLstm`] is the straightforward implementation the optimized
-//! [`crate::Lstm`] replaced: naive scalar kernels, a `Vec<Vec<f32>>`
-//! activation trace, and fresh allocations every timestep. It is kept so
-//! the `lstm` arm of `bench_perf` can measure the optimization (old vs
-//! new epoch time) and so tests can cross-check the fast kernels against
-//! a simple oracle.
+//! [`NaiveLstm`] backpropagates one example at a time with a
+//! `Vec<Vec<f32>>` activation trace and fresh allocations every timestep,
+//! through the public scalar [`Mat`] kernels (`matvec_bias_acc`,
+//! `outer_acc_bias`, `matvec_t_narrow`) whose per-element operation order
+//! the lane engine keeps. [`NaiveClassifier`] puts the production
+//! [`Dense`] head on it and trains like [`crate::SeqClassifier`], so the
+//! two leave bit-identical weights after any number of epochs.
 //!
-//! Initialization draws the RNG in the same order as [`crate::Lstm::new`],
-//! so a `NaiveLstm` and an `Lstm` built from equally-seeded RNGs start
-//! from identical weights.
+//! The cell update, [`lstm_cell`], calls the host's libm (`f32::exp`,
+//! `f32::tanh`) on purpose: the production cell uses [`crate::math`], so
+//! every bit-identity check against this module also checks those ports
+//! against libm.
+//!
+//! Initialization draws the RNG in the same order as [`crate::Lstm::new`]
+//! and [`crate::SeqClassifier::new`], so equally-seeded RNGs give
+//! identical starting weights.
 
+use crate::dense::Dense;
+use crate::loss::softmax_cross_entropy;
 use crate::mat::Mat;
 use crate::optim::{Adam, AdamConfig};
+use crate::SeqExample;
 use rand::Rng;
 
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// `out += m * x`, one scalar multiply-add at a time.
-fn matvec_acc_naive(m: &Mat, x: &[f32], out: &mut [f32]) {
-    for (r, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for (w, xi) in m.row(r).iter().zip(x) {
-            acc += w * xi;
-        }
-        *o += acc;
-    }
-}
-
-/// `out += mᵀ * g`, row by row.
-fn matvec_t_acc_naive(m: &Mat, g: &[f32], out: &mut [f32]) {
-    for (r, &gr) in g.iter().enumerate() {
-        if gr == 0.0 {
-            continue;
-        }
-        for (o, w) in out.iter_mut().zip(m.row(r)) {
-            *o += gr * w;
-        }
-    }
-}
-
-/// `m += scale * g ⊗ x`, element by element.
-fn outer_acc_naive(m: &mut Mat, g: &[f32], x: &[f32], scale: f32) {
-    for (r, &gv) in g.iter().enumerate() {
-        let gr = gv * scale;
-        if gr == 0.0 {
-            continue;
-        }
-        for (c, xi) in x.iter().enumerate() {
-            *m.get_mut(r, c) += gr * xi;
-        }
+/// One LSTM cell update with libm's `exp`/`tanh`: `gates` holds the
+/// stacked `[i, f, g, o]` pre-activations (`4 × c.len()`) and is
+/// overwritten with the activations, `c` goes from `c_{t-1}` to `c_t`,
+/// and `h` receives `o·tanh(c_t)`. The update is elementwise, so any
+/// SoA block of [`crate::lstm_cell_soa`] is a valid input.
+///
+/// # Panics
+///
+/// Panics on buffer lengths that do not match `c.len()`.
+pub fn lstm_cell(gates: &mut [f32], c: &mut [f32], h: &mut [f32]) {
+    let n = c.len();
+    assert_eq!(gates.len(), 4 * n, "lstm_cell gates length");
+    assert_eq!(h.len(), n, "lstm_cell h length");
+    for j in 0..n {
+        let i_g = sigmoid(gates[j]);
+        let f_g = sigmoid(gates[n + j]);
+        let g_g = gates[2 * n + j].tanh();
+        let o_g = sigmoid(gates[3 * n + j]);
+        (gates[j], gates[n + j], gates[2 * n + j], gates[3 * n + j]) = (i_g, f_g, g_g, o_g);
+        c[j] = f_g * c[j] + i_g * g_g;
+        h[j] = o_g * c[j].tanh();
     }
 }
 
@@ -89,7 +87,7 @@ impl NaiveTrace {
     }
 }
 
-/// The pre-optimization single-layer LSTM (see the module docs).
+/// The per-example single-layer LSTM (see the module docs).
 #[derive(Debug, Clone)]
 pub struct NaiveLstm {
     input: usize,
@@ -131,6 +129,12 @@ impl NaiveLstm {
         self.hidden
     }
 
+    /// Weight matrix (`4·hidden × (input + hidden + 1)`).
+    #[must_use]
+    pub fn weights(&self) -> &Mat {
+        &self.w
+    }
+
     /// Accumulated weight gradient (flat), for cross-checking against the
     /// optimized implementation.
     #[must_use]
@@ -154,29 +158,13 @@ impl NaiveLstm {
         };
         for x in xs {
             assert_eq!(x.len(), self.input, "lstm input dimension");
-            let h_prev = trace.hs.last().expect("h_0 exists").clone();
-            let c_prev = trace.cs.last().expect("c_0 exists").clone();
-            let mut concat = vec![0.0f32; self.input + h + 1];
-            concat[..self.input].copy_from_slice(x);
-            concat[self.input..self.input + h].copy_from_slice(&h_prev);
-            concat[self.input + h] = 1.0;
-            let mut pre = vec![0.0f32; 4 * h];
-            matvec_acc_naive(&self.w, &concat, &mut pre);
+            let mut concat = x.clone();
+            concat.extend_from_slice(trace.hs.last().expect("h_0 exists"));
             let mut gates = vec![0.0f32; 4 * h];
-            let mut c = vec![0.0f32; h];
+            self.w.matvec_bias_acc(&concat, &mut gates);
+            let mut c = trace.cs.last().expect("c_0 exists").clone();
             let mut hv = vec![0.0f32; h];
-            for j in 0..h {
-                let i_g = sigmoid(pre[j]);
-                let f_g = sigmoid(pre[h + j]);
-                let g_g = pre[2 * h + j].tanh();
-                let o_g = sigmoid(pre[3 * h + j]);
-                gates[j] = i_g;
-                gates[h + j] = f_g;
-                gates[2 * h + j] = g_g;
-                gates[3 * h + j] = o_g;
-                c[j] = f_g * c_prev[j] + i_g * g_g;
-                hv[j] = o_g * c[j].tanh();
-            }
+            lstm_cell(&mut gates, &mut c, &mut hv);
             trace.gates.push(gates);
             trace.cs.push(c);
             trace.hs.push(hv);
@@ -215,14 +203,12 @@ impl NaiveLstm {
                 dpre[3 * h + j] = dh_total * tc * o_g * (1.0 - o_g);
                 dc_next[j] = dc * f_g;
             }
-            let mut concat = vec![0.0f32; self.input + h + 1];
-            concat[..self.input].copy_from_slice(&trace.xs[t]);
-            concat[self.input..self.input + h].copy_from_slice(&trace.hs[t]);
-            concat[self.input + h] = 1.0;
-            outer_acc_naive(&mut self.grad, &dpre, &concat, 1.0);
-            let mut dconcat = vec![0.0f32; self.input + h + 1];
-            matvec_t_acc_naive(&self.w, &dpre, &mut dconcat);
-            dh_next.copy_from_slice(&dconcat[self.input..self.input + h]);
+            let mut concat = trace.xs[t].clone();
+            concat.extend_from_slice(&trace.hs[t]);
+            self.grad.outer_acc_bias(&dpre, &concat, 1.0);
+            let mut dconcat = vec![0.0f32; self.input + h];
+            self.w.matvec_t_narrow(&dpre, &mut dconcat);
+            dh_next.copy_from_slice(&dconcat[self.input..]);
         }
     }
 
@@ -240,11 +226,112 @@ impl NaiveLstm {
     }
 }
 
+/// The per-example [`crate::SeqClassifier`]: a [`NaiveLstm`] and a
+/// [`Dense`] head, trained one example at a time.
+#[derive(Debug, Clone)]
+pub struct NaiveClassifier {
+    lstm: NaiveLstm,
+    head: Dense,
+}
+
+impl NaiveClassifier {
+    /// Creates a classifier with the initial weights
+    /// [`crate::SeqClassifier::new`] draws from the same RNG state.
+    #[must_use]
+    pub fn new<R: Rng + ?Sized>(
+        input: usize,
+        hidden: usize,
+        classes: usize,
+        rng: &mut R,
+        adam: AdamConfig,
+    ) -> Self {
+        NaiveClassifier {
+            lstm: NaiveLstm::new(input, hidden, rng, adam),
+            head: Dense::new(hidden, classes, rng, adam),
+        }
+    }
+
+    /// The recurrent layer.
+    #[must_use]
+    pub fn lstm(&self) -> &NaiveLstm {
+        &self.lstm
+    }
+
+    /// The output head.
+    #[must_use]
+    pub fn head(&self) -> &Dense {
+        &self.head
+    }
+
+    /// [`crate::SeqClassifier::train_epoch`] one example at a time:
+    /// forward, softmax cross-entropy on the last step, backward, and a
+    /// gradient step every `batch` examples (`0` = one minibatch).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sequence.
+    pub fn train_epoch(&mut self, examples: &[SeqExample], batch: usize) -> f32 {
+        let batch = if batch == 0 { examples.len() } else { batch };
+        let mut total = 0.0f32;
+        for chunk in examples.chunks(batch.max(1)) {
+            for ex in chunk {
+                assert!(!ex.xs.is_empty(), "cannot classify an empty sequence");
+                let trace = self.lstm.forward(&ex.xs);
+                let last = trace.hidden(trace.len() - 1);
+                let (loss, dlogits) = softmax_cross_entropy(&self.head.forward(last), ex.label);
+                total += loss;
+                let mut dh = vec![vec![0.0f32; self.lstm.hidden]; trace.len()];
+                dh[trace.len() - 1] = self.head.backward(last, &dlogits);
+                self.lstm.backward(&trace, &dh);
+            }
+            self.lstm.apply_grads(chunk.len());
+            self.head.apply_grads(chunk.len());
+        }
+        total / examples.len().max(1) as f32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// `out += m * x`, one scalar multiply-add at a time.
+    fn matvec_acc_naive(m: &Mat, x: &[f32], out: &mut [f32]) {
+        for (r, o) in out.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (w, xi) in m.row(r).iter().zip(x) {
+                acc += w * xi;
+            }
+            *o += acc;
+        }
+    }
+
+    /// `out += mᵀ * g`, row by row.
+    fn matvec_t_acc_naive(m: &Mat, g: &[f32], out: &mut [f32]) {
+        for (r, &gr) in g.iter().enumerate() {
+            if gr == 0.0 {
+                continue;
+            }
+            for (o, w) in out.iter_mut().zip(m.row(r)) {
+                *o += gr * w;
+            }
+        }
+    }
+
+    /// `m += scale * g ⊗ x`, element by element.
+    fn outer_acc_naive(m: &mut Mat, g: &[f32], x: &[f32], scale: f32) {
+        for (r, &gv) in g.iter().enumerate() {
+            let gr = gv * scale;
+            if gr == 0.0 {
+                continue;
+            }
+            for (c, xi) in x.iter().enumerate() {
+                *m.get_mut(r, c) += gr * xi;
+            }
+        }
+    }
 
     /// Differential check of the blocked [`Mat`] kernels against this
     /// module's naive scalar loops at row counts that are **not**
@@ -302,5 +389,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-example classifier leaves the lane-batched
+    /// `SeqClassifier` bit-identical weights, ragged lengths and a
+    /// partial last minibatch included.
+    #[test]
+    fn naive_classifier_trains_bit_identically() {
+        let (input, hidden, classes) = (3, 6, 4);
+        let examples: Vec<SeqExample> = (0..11)
+            .map(|i| SeqExample {
+                xs: (0..1 + (i * 5) % 9)
+                    .map(|t| {
+                        (0..input)
+                            .map(|k| ((i * 31 + t * 7 + k) as f32 * 0.37).sin())
+                            .collect()
+                    })
+                    .collect(),
+                label: i % classes,
+            })
+            .collect();
+        let adam = AdamConfig::default();
+        let mut fast = crate::SeqClassifier::new(
+            input,
+            hidden,
+            classes,
+            &mut SmallRng::seed_from_u64(3),
+            adam,
+        );
+        let mut naive = NaiveClassifier::new(
+            input,
+            hidden,
+            classes,
+            &mut SmallRng::seed_from_u64(3),
+            adam,
+        );
+        for _ in 0..3 {
+            let (a, b) = (
+                fast.train_epoch(&examples, 4),
+                naive.train_epoch(&examples, 4),
+            );
+            assert_eq!(a.to_bits(), b.to_bits(), "loss {a} vs {b}");
+        }
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(fast.lstm().weights()), bits(naive.lstm().weights()));
+        assert_eq!(bits(fast.head().weights()), bits(naive.head().weights()));
     }
 }
